@@ -1,27 +1,23 @@
-// Real-time runtime demo — DCPP running against a wall clock, watched
-// by a presence service with full observability: a metrics registry, a
-// probe-cycle tracer, the protocol invariant auditor, and (with
-// --http-port) a live HTTP endpoint serving /metrics, /metrics.json,
-// /healthz, /watches and /trace while the fleet is probed. Shows the
-// "implementable on small computing devices" half of the paper's claim
-// with the operator's view attached.
+// Real-time runtime demo — DCPP running against a wall clock on the
+// event-loop runtime: ONE epoll thread, one batched UDP socket
+// (AsyncUdpTransport), every device and watch a callback on that loop —
+// the configuration that scales to 10^5 endpoints (bench_rt_scale).
+// The fleet is watched by a presence service with full observability:
+// a metrics registry, a probe-cycle tracer, the protocol invariant
+// auditor, and (with --http-port) a live HTTP endpoint serving
+// /metrics, /metrics.json, /healthz, /watches and /trace while the
+// fleet is probed. Shows the "implementable on small computing
+// devices" half of the paper's claim with the operator's view attached.
 //
 //   realtime_runtime                       # 3 s demo, no HTTP
 //   realtime_runtime --http-port=8080 --linger=60
 //   curl localhost:8080/metrics            # Prometheus exposition
 //   curl 'localhost:8080/trace?format=chrome' > trace.json  # Perfetto
 //
-// --transport picks the runtime:
-//   inproc  — thread-per-component over the in-process transport
-//             (injects delay and 2% loss, so retransmissions show up)
-//   udp     — thread-per-component over real loopback UDP sockets
-//   reactor — the event-loop runtime: ONE epoll thread, one batched
-//             UDP socket (AsyncUdpTransport), every device and watch
-//             as a callback on that loop — the configuration that
-//             scales to 10^5 endpoints (bench_rt_scale). The bound
-//             port is printed so tools/probemon_loadgen can stress it
-//             from outside during --linger.
-// Wall-clock runtime: about 3 seconds plus --linger.
+// The bound UDP port is printed so tools/probemon_loadgen can stress
+// the fleet from outside during --linger. Exits 0 only when exactly the
+// silenced device was detected absent and the auditor saw no invariant
+// violation. Wall-clock runtime: about 3 seconds plus --linger.
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -35,10 +31,6 @@
 #include "runtime/event_loop/event_loop.hpp"
 #include "runtime/history_ticker.hpp"
 #include "runtime/http_routes.hpp"
-#include "runtime/inproc_transport.hpp"
-#include "runtime/presence_service.hpp"
-#include "runtime/rt_device.hpp"
-#include "runtime/udp_transport.hpp"
 #include "telemetry/alerts/default_rules.hpp"
 #include "telemetry/bridges.hpp"
 #include "telemetry/http_server.hpp"
@@ -49,72 +41,32 @@
 using namespace probemon;
 using namespace std::chrono_literals;
 
-namespace {
-
-/// History sampling, default alert rules and the HTTP server — the
-/// scaffolding every transport mode shares. The demo's detection
-/// budget is d_min + TOF + 3*TOS (< 0.3 s).
-struct ObservabilityStack {
-  telemetry::TimeSeriesHistory history;
-  telemetry::AlertEngine alerts;
-  runtime::HistoryTicker ticker;
-  telemetry::HttpServer http;
-
-  ObservabilityStack(telemetry::Registry& registry, std::uint16_t port)
-      : history(registry, {.sample_period_s = 0.1, .slots = 600}),
-        alerts(&history),
-        ticker(history, &alerts, 0.1),
-        http({.port = port}) {
-    telemetry::DefaultRuleParams rule_params;
-    rule_params.detection_latency_budget_s = 0.3;
-    rule_params.detection_latency_window_s = 30.0;
-    rule_params.false_alarm_window_s = 30.0;
-    for (const auto& [series, labels] : default_rule_series(rule_params)) {
-      history.track(series, labels);
-    }
-    for (const auto& rule : default_presence_rules(rule_params)) {
-      alerts.add_rule(rule);
-    }
-    alerts.bind_registry(registry);
-    ticker.start();
+int main(int argc, char** argv) {
+  util::Cli cli(argc, argv);
+  const auto duration_s = cli.get<double>("duration", 2.0);
+  const auto n_devices = cli.get<std::uint64_t>("devices", 4);
+  // -1 = no HTTP; 0 = ephemeral port (printed); >0 = fixed port.
+  const auto http_port = cli.get<std::int64_t>("http-port", -1);
+  const auto linger_s = cli.get<double>("linger", 0.0);
+  cli.finish(
+      "realtime_runtime: event-loop DCPP runtime with live HTTP "
+      "observability");
+  if (n_devices == 0) {
+    std::cerr << "--devices must be at least 1 (one of them goes silent)\n";
+    return 2;
   }
 
-  void serve(runtime::ObservabilitySources sources) {
-    sources.history = &history;
-    sources.alerts = &alerts;
-    runtime::register_observability_routes(http, sources);
-    http.start();
-    std::cout << "observability endpoint on http://127.0.0.1:" << http.port()
-              << "  (try /metrics, /watches, /alerts, "
-                 "/query?expr=probemon_watches, /trace?format=chrome)\n";
-  }
-};
+  // Fast timing so the demo completes in seconds: each device grants
+  // ~50 probes/s total, each CP at most 12.5/s; timeouts scaled to
+  // match.
+  core::DcppDeviceConfig device_config;
+  device_config.delta_min = 0.02;
+  device_config.d_min = 0.08;
 
-template <typename Service>
-std::size_t count_absent(const Service& service) {
-  std::size_t absent = 0;
-  for (const auto& info : service.snapshotWatches()) {
-    if (info.state == runtime::Presence::kAbsent) ++absent;
-  }
-  return absent;
-}
+  core::DcppCpConfig cp_config;
+  cp_config.timeouts.tof = 0.030;
+  cp_config.timeouts.tos = 0.020;
 
-template <typename Service>
-void print_watch_table(const Service& service) {
-  for (const auto& info : service.snapshotWatches()) {
-    std::cout << "  device " << info.device << ": "
-              << to_string(info.state) << ", " << info.cycles_succeeded
-              << " cycles, " << info.probes_sent << " probes, last rtt "
-              << info.last_rtt << " s\n";
-  }
-}
-
-/// The event-loop mode: one reactor thread, one batched UDP socket,
-/// async devices and watches as loop callbacks.
-int run_reactor(std::uint64_t n_devices, double duration_s,
-                std::int64_t http_port, double linger_s,
-                const core::DcppDeviceConfig& device_config,
-                const core::DcppCpConfig& cp_config) {
   telemetry::Registry registry;
   telemetry::instrument_lock_order(registry);  // 0 unless a checked build
   telemetry::ProbeCycleTracer tracer(2048);
@@ -146,15 +98,41 @@ int run_reactor(std::uint64_t n_devices, double duration_s,
     service.watch_dcpp(device->id(), cp_config);
   }
 
-  ObservabilityStack obs(
-      registry, static_cast<std::uint16_t>(http_port > 0 ? http_port : 0));
+  // Sampled history + the shipped budget rules behind /query and
+  // /alerts; the demo's detection budget is d_min + TOF + 3*TOS
+  // (< 0.3 s).
+  telemetry::TimeSeriesHistory history(registry,
+                                       {.sample_period_s = 0.1, .slots = 600});
+  telemetry::DefaultRuleParams rule_params;
+  rule_params.detection_latency_budget_s = 0.3;
+  rule_params.detection_latency_window_s = 30.0;
+  rule_params.false_alarm_window_s = 30.0;
+  for (const auto& [series, labels] : default_rule_series(rule_params)) {
+    history.track(series, labels);
+  }
+  telemetry::AlertEngine alerts(&history);
+  for (const auto& rule : default_presence_rules(rule_params)) {
+    alerts.add_rule(rule);
+  }
+  alerts.bind_registry(registry);
+  runtime::HistoryTicker ticker(history, &alerts, 0.1);
+  ticker.start();
+
+  telemetry::HttpServer http(
+      {.port = static_cast<std::uint16_t>(http_port > 0 ? http_port : 0)});
   if (http_port >= 0) {
     runtime::ObservabilitySources sources;
     sources.registry = &registry;
     sources.tracer = &tracer;
     sources.async_service = &service;
     sources.auditor = &auditor;
-    obs.serve(sources);
+    sources.history = &history;
+    sources.alerts = &alerts;
+    runtime::register_observability_routes(http, sources);
+    http.start();
+    std::cout << "observability endpoint on http://127.0.0.1:" << http.port()
+              << "  (try /metrics, /watches, /alerts, "
+                 "/query?expr=probemon_watches, /trace?format=chrome)\n";
   }
 
   loop.start();
@@ -163,7 +141,12 @@ int run_reactor(std::uint64_t n_devices, double duration_s,
             << transport.local_port() << ") for " << duration_s << " s...\n";
   std::this_thread::sleep_for(std::chrono::duration<double>(duration_s));
 
-  print_watch_table(service);
+  for (const auto& info : service.snapshotWatches()) {
+    std::cout << "  device " << info.device << ": "
+              << to_string(info.state) << ", " << info.cycles_succeeded
+              << " cycles, " << info.probes_sent << " probes, last rtt "
+              << info.last_rtt << " s\n";
+  }
 
   std::cout << "\ndevice " << devices.back()->id()
             << " goes silent; its watch should notice within "
@@ -171,135 +154,26 @@ int run_reactor(std::uint64_t n_devices, double duration_s,
   devices.back()->go_silent();
   std::this_thread::sleep_for(600ms);
 
-  const std::size_t absent = count_absent(service);
+  std::size_t absent = 0;
+  for (const auto& info : service.snapshotWatches()) {
+    if (info.state == runtime::Presence::kAbsent) ++absent;
+  }
   std::cout << absent << " of " << devices.size()
             << " devices detected absent; " << tracer.recorded()
             << " probe cycles traced; " << auditor.total_violations()
             << " invariant violations\n";
 
   if (http_port >= 0 && linger_s > 0) {
-    std::cout << "\nserving http://127.0.0.1:" << obs.http.port() << " for "
+    std::cout << "\nserving http://127.0.0.1:" << http.port() << " for "
               << linger_s << " more seconds; probe the fleet with\n  "
               << "tools/probemon_loadgen --target="
               << transport.local_port() << " --rate=1000 --duration="
               << linger_s << "\n(ctrl-c to quit early)...\n";
     std::this_thread::sleep_for(std::chrono::duration<double>(linger_s));
   }
-  obs.http.stop();
+  http.stop();
   // Async devices/transport tear down loop-confined: stop the loop
   // first.
   loop.stop();
-  return absent == 1 ? 0 : 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
-  const auto transport_name = cli.get<std::string>("transport", "inproc");
-  const auto duration_s = cli.get<double>("duration", 2.0);
-  const auto n_devices = cli.get<std::uint64_t>("devices", 4);
-  // -1 = no HTTP; 0 = ephemeral port (printed); >0 = fixed port.
-  const auto http_port = cli.get<std::int64_t>("http-port", -1);
-  const auto linger_s = cli.get<double>("linger", 0.0);
-  cli.finish(
-      "realtime_runtime: threaded or event-loop DCPP runtime with live "
-      "HTTP observability");
-
-  // Fast timing so the demo completes in seconds: each device grants
-  // ~50 probes/s total, each CP at most 12.5/s; timeouts scaled to
-  // match.
-  core::DcppDeviceConfig device_config;
-  device_config.delta_min = 0.02;
-  device_config.d_min = 0.08;
-
-  core::DcppCpConfig cp_config;
-  cp_config.timeouts.tof = 0.030;
-  cp_config.timeouts.tos = 0.020;
-
-  if (transport_name == "reactor") {
-    return run_reactor(n_devices, duration_s, http_port, linger_s,
-                       device_config, cp_config);
-  }
-
-  telemetry::Registry registry;
-  telemetry::instrument_lock_order(registry);  // 0 unless a checked build
-  telemetry::ProbeCycleTracer tracer(2048);
-  check::InvariantAuditor auditor({}, &registry);
-
-  std::unique_ptr<runtime::Transport> transport;
-  if (transport_name == "udp") {
-    auto udp = std::make_unique<runtime::UdpTransport>();
-    udp->instrument(registry);
-    transport = std::move(udp);
-  } else if (transport_name == "inproc") {
-    runtime::InProcTransportConfig net_config;
-    net_config.delay_min = 0.0005;
-    net_config.delay_max = 0.003;
-    net_config.loss = 0.02;  // 2% datagram loss: retransmissions cover it
-    auto inproc = std::make_unique<runtime::InProcTransport>(net_config);
-    inproc->instrument(registry);
-    transport = std::move(inproc);
-  } else {
-    std::cerr << "unknown --transport '" << transport_name
-              << "' (expected inproc, udp or reactor)\n";
-    return 2;
-  }
-
-  std::vector<std::unique_ptr<runtime::RtDcppDevice>> devices;
-  for (std::uint64_t i = 0; i < n_devices; ++i) {
-    devices.push_back(
-        std::make_unique<runtime::RtDcppDevice>(*transport, device_config));
-    devices.back()->instrument(registry);
-  }
-
-  runtime::PresenceService::TelemetryOptions wiring;
-  wiring.registry = &registry;
-  wiring.tracer = &tracer;
-  wiring.auditor = &auditor;
-  runtime::PresenceService service(*transport, wiring);
-  service.subscribe([](const runtime::PresenceEvent& event) {
-    std::cout << "  [t=" << event.t << "s] device " << event.device << " -> "
-              << to_string(event.state) << '\n';
-  });
-  for (const auto& device : devices) {
-    service.watch_dcpp(device->id(), cp_config);
-  }
-
-  ObservabilityStack obs(
-      registry, static_cast<std::uint16_t>(http_port > 0 ? http_port : 0));
-  if (http_port >= 0) {
-    runtime::ObservabilitySources sources;
-    sources.registry = &registry;
-    sources.tracer = &tracer;
-    sources.service = &service;
-    sources.auditor = &auditor;
-    obs.serve(sources);
-  }
-
-  std::cout << "watching " << service.watch_count() << " devices over the "
-            << transport_name << " transport for " << duration_s << " s...\n";
-  std::this_thread::sleep_for(std::chrono::duration<double>(duration_s));
-
-  print_watch_table(service);
-
-  std::cout << "\ndevice " << devices.back()->id()
-            << " goes silent; its watch should notice within "
-               "d_min + TOF + 3*TOS < 0.3 s...\n";
-  devices.back()->go_silent();
-  std::this_thread::sleep_for(600ms);
-
-  const std::size_t absent = count_absent(service);
-  std::cout << absent << " of " << devices.size()
-            << " devices detected absent; " << tracer.recorded()
-            << " probe cycles traced; " << auditor.total_violations()
-            << " invariant violations\n";
-
-  if (http_port >= 0 && linger_s > 0) {
-    std::cout << "\nserving http://127.0.0.1:" << obs.http.port() << " for "
-              << linger_s << " more seconds (ctrl-c to quit early)...\n";
-    std::this_thread::sleep_for(std::chrono::duration<double>(linger_s));
-  }
-  obs.http.stop();
-  return absent == 1 ? 0 : 1;
+  return absent == 1 && auditor.total_violations() == 0 ? 0 : 1;
 }

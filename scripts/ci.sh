@@ -480,11 +480,13 @@ EOF
     ctest --test-dir "$TSAN_BUILD" --output-on-failure -j \
       -R 'Sweep(Runner|Determinism)'
     # The reactor surface: start/stop churn under a concurrent scrape,
-    # cross-thread post(), and the async transport/presence stack --
-    # the loop-confinement contract TSan exists to vet.
+    # cross-thread post(), the async transport/presence stack, the
+    # real-time protocol tests (Rt*), the service's telemetry, audit and
+    # HTTP wiring, and the example runs -- the loop-confinement contract
+    # TSan exists to vet.
     echo "==> tsan: event-loop reactor tests"
     ctest --test-dir "$TSAN_BUILD" --output-on-failure -j \
-      -R 'EventLoop|WallClockWheel|Async(UdpTransport|Runtime|Presence)'
+      -R 'EventLoop|WallClockWheel|Async(UdpTransport|Runtime|Presence)|Rt(Dcpp|Sapp|Lossy)|(PresenceService|Transport)Telemetry|InvariantAuditor.RuntimeWatch|HttpRoutes|^examples\.'
     echo "==> tsan: full suite"
     ctest --test-dir "$TSAN_BUILD" --output-on-failure -j
   fi

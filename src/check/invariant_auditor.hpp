@@ -143,8 +143,8 @@ class InvariantAuditor final : public core::ProtocolObserver {
 
   // --- runtime side ---------------------------------------------------------
   /// Audit one completed probe-cycle span (the realtime CPs emit these
-  /// through PresenceService::TelemetryOptions::auditor): shape, attempt
-  /// bound, exhaustion-before-absence.
+  /// through AsyncPresenceService::TelemetryOptions::auditor): shape,
+  /// attempt bound, exhaustion-before-absence.
   void audit_cycle(const telemetry::ProbeCycleTrace& trace);
 
   /// Audit a tracer's ring bookkeeping (indices in range: retained

@@ -1,6 +1,6 @@
 // Pure SAPP adaptation state machine (paper eq. 1), shared by the
 // discrete-event CP (core::SappControlPoint) and the wall-clock CP
-// (runtime::RtSappControlPoint). Keeping it pure makes the adaptation
+// (runtime::AsyncSappControlPoint). Keeping it pure makes the adaptation
 // rule unit- and property-testable in isolation.
 #pragma once
 

@@ -94,13 +94,13 @@ void AsyncControlPointBase::on_timeout() {
 void AsyncControlPointBase::handle(const net::Message& msg) {
   if (msg.kind != net::MessageKind::kReply || msg.from != device_) return;
   // Stale replies — an older cycle's retransmission answered late, or a
-  // reply after absence was declared — are dropped, same as the Rt CP.
+  // reply after absence was declared — are dropped, same as the DES CP.
   if (stopped_ || !awaiting_reply_ || msg.cycle != cycle_) return;
   disarm();
   awaiting_reply_ = false;
 
   const double now = transport_.loop().now();
-  // Same observation rule as the DES and Rt CPs: a clean success uses
+  // Same observation rule as the DES CPs: a clean success uses
   // the reply arrival instant, a retransmitted success the send time.
   const double t_obs = attempt_ == 0 ? now : sent_at_;
   const double rtt = now - sent_at_;

@@ -1,14 +1,13 @@
 // Async control points: the bounded-retransmission probe cycle as an
 // event-loop state machine.
 //
-// RtControlPointBase dedicates a thread (and a condvar) to each CP;
-// this port runs the identical cycle — first probe, TOF timeout, up to
-// max_retransmissions TOS-spaced retries, absence declaration on
-// exhaustion, protocol-chosen inter-cycle delay on success — as timer
+// The cycle — first probe, TOF timeout, up to max_retransmissions
+// TOS-spaced retries, absence declaration on exhaustion,
+// protocol-chosen inter-cycle delay on success — runs as timer
 // callbacks on one EventLoop, so 10^5 CPs cost two timer slots and a
-// few hundred bytes each instead of a thread each. Protocol parity
-// points mirrored from the Rt classes (and checked by the invariant
-// auditor):
+// few hundred bytes each instead of a thread each. Protocol points
+// shared with the DES control points (core::ProbeCycle) and checked by
+// the invariant auditor:
 //
 //   * observation rule — a clean (attempt 0) success observes at the
 //     reply arrival instant, a retransmitted success at the last send

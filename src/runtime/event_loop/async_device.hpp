@@ -1,17 +1,18 @@
-// Async devices: the RtDevice reply logic ported to the event loop.
+// Async devices: the SAPP/DCPP reply logic on the event loop.
 //
-// Same protocol behaviour as RtSappDevice / RtDcppDevice — SAPP bumps
-// its probe counter per probe, DCPP grants Δ = max{δ_min, d_min−(nt−t)}
-// — but loop-confined and lock-free: the reactor's single thread owns
-// all device state, so a probe is handled with zero mutex traffic and
-// zero allocation, which is what lets one process answer for 10^5
-// endpoints. The only cross-thread surface is go_silent()/come_back()
-// (atomic flag, so tests and demos can kill a device from the main
-// thread) and the scrape counters.
+// Same protocol behaviour as the DES devices (core::SappDevice /
+// core::DcppDevice) — SAPP bumps its probe counter per probe, DCPP
+// grants Δ = max{δ_min, d_min−(nt−t)} — but loop-confined and
+// lock-free: the reactor's single thread owns all device state, so a
+// probe is handled with zero mutex traffic and zero allocation, which
+// is what lets one process answer for 10^5 endpoints. The only
+// cross-thread surface is go_silent()/come_back() (atomic flag, so
+// tests and demos can kill a device from the main thread) and the
+// scrape counters.
 //
-// Deliberately omitted vs. RtDeviceBase: the trailing-window
-// experienced-load deque (a per-device std::deque is exactly the kind
-// of per-endpoint cost this runtime exists to avoid; the transport's
+// Deliberately omitted: a trailing-window experienced-load series (a
+// per-device std::deque of probe instants is exactly the kind of
+// per-endpoint cost this runtime exists to avoid; the transport's
 // aggregate counters and the loop histograms cover the load story at
 // scale).
 #pragma once

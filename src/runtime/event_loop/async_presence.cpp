@@ -6,6 +6,15 @@
 
 namespace probemon::runtime {
 
+const char* to_string(Presence presence) noexcept {
+  switch (presence) {
+    case Presence::kUnknown: return "unknown";
+    case Presence::kPresent: return "present";
+    case Presence::kAbsent: return "absent";
+  }
+  return "?";
+}
+
 AsyncPresenceService::AsyncPresenceService(AsyncUdpTransport& transport,
                                            TelemetryOptions telemetry)
     : transport_(transport),
@@ -66,21 +75,24 @@ void AsyncPresenceService::stop_watches(
   }
   if (loop_.running()) {
     // Stop on the loop thread and wait, so after return no callback can
-    // reference this service.
-    util::Mutex done_mutex{"runtime.AsyncPresenceService.stop"};
-    util::CondVar done_cv;
-    bool done = false;
+    // reference this service. The handshake state is shared, not on
+    // this stack: the loop thread may still be inside notify_all()
+    // when the waiter wakes and returns.
+    struct Handshake {
+      util::Mutex mutex{"runtime.AsyncPresenceService.stop"};
+      util::CondVar cv;
+      bool done = false;
+    };
+    auto handshake = std::make_shared<Handshake>();
     auto* watches_ptr = &watches;
-    loop_.post([&, watches_ptr] {
+    loop_.post([handshake, watches_ptr] {
       for (auto& [id, watch] : *watches_ptr) watch.cp->stop();
-      {
-        util::MutexLock lock(done_mutex);
-        done = true;
-      }
-      done_cv.notify_all();
+      util::MutexLock lock(handshake->mutex);
+      handshake->done = true;
+      handshake->cv.notify_all();
     });
-    util::MutexLock lock(done_mutex);
-    while (!done) done_cv.wait(done_mutex);
+    util::MutexLock lock(handshake->mutex);
+    while (!handshake->done) handshake->cv.wait(handshake->mutex);
     return;
   }
   // Loop not running: loop-confined calls are legal from this thread.

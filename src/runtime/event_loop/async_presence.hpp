@@ -1,11 +1,12 @@
-// AsyncPresenceService: the PresenceService facade over the event-loop
-// runtime.
+// AsyncPresenceService: the high-level embedding API of the runtime.
 //
-// Same embedding API shape as PresenceService — watch/unwatch, presence
-// table, event subscriptions, snapshotWatches for the /watches route —
-// but each watch is an AsyncControlPoint on the transport's EventLoop
-// instead of a dedicated thread, so one service scales to 10^5 watches.
-// Differences that matter at that scale:
+// An application (a UPnP control point, a smart-home hub) watches many
+// devices at once; each watch runs a protocol-appropriate control point
+// (an AsyncControlPoint on the transport's EventLoop — timer callbacks,
+// not a thread), and the service maintains a presence table plus an
+// event stream: watch/unwatch, presence(), subscribe(), and
+// snapshotWatches() for the /watches route. One service scales to 10^5
+// watches. What matters at that scale:
 //
 //   * per-watch metric series (device=<id> labels) are OFF by default
 //     (TelemetryOptions::per_watch_metrics) — 10^5 devices would mint
@@ -21,8 +22,9 @@
 //     so watch registration from an HTTP handler is asynchronous —
 //     the watch appears in the table once the loop task runs.
 //
-// Scrapes (presence/snapshot*/stats) are safe from any thread; do not
-// destroy the service from inside one of its own callbacks.
+// Scrapes (presence/snapshot*/stats) are safe from any thread; event
+// callbacks fire on the loop thread, so keep them quick. Do not destroy
+// the service from inside one of its own callbacks.
 #pragma once
 
 #include <cstdint>
@@ -34,26 +36,75 @@
 #include "check/invariant_auditor.hpp"
 #include "core/config.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
-#include "runtime/presence_service.hpp"  // Presence, PresenceEvent, WatchInfo
 #include "telemetry/probe_tracer.hpp"
 #include "telemetry/registry.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace probemon::runtime {
 
+/// Presence state of one watched device.
+enum class Presence {
+  kUnknown,  ///< watch started, no reply yet
+  kPresent,  ///< at least one probe cycle succeeded
+  kAbsent,   ///< a probe cycle exhausted all retransmissions
+};
+// Note: a watch whose device was declared absent stops probing (the
+// protocol's behaviour); unwatch() + watch_*() resumes monitoring, e.g.
+// after the device announces itself again via discovery.
+
+const char* to_string(Presence presence) noexcept;
+
+/// A presence transition event.
+struct PresenceEvent {
+  net::NodeId device = net::kInvalidNode;
+  Presence state = Presence::kUnknown;
+  double t = 0.0;  ///< loop-clock time of the transition
+};
+
 class AsyncPresenceService {
  public:
   using EventCallback = std::function<void(const PresenceEvent&)>;
-  using WatchInfo = PresenceService::WatchInfo;
-  using Stats = PresenceService::Stats;
+
+  /// Everything an operator dashboard wants to show about one watch.
+  /// Times are loop-clock seconds (EventLoop::now()).
+  struct WatchInfo {
+    net::NodeId device = net::kInvalidNode;
+    Presence state = Presence::kUnknown;
+    double last_change = 0.0;  ///< instant of the last state transition
+    /// Reply latency of the most recent successful cycle; 0 before the
+    /// first reply.
+    double last_rtt = 0.0;
+    /// Unanswered probes closing the most recent completed cycle:
+    /// retransmissions needed before the last reply, or every attempt
+    /// of the final cycle once the device is declared absent.
+    std::uint32_t consecutive_failures = 0;
+    std::uint64_t probes_sent = 0;
+    std::uint64_t cycles_succeeded = 0;
+    std::uint64_t cycles_failed = 0;
+    /// When the next probe cycle starts (last cycle end + inter-cycle
+    /// delay); 0 while no cycle has completed or once the watch stopped
+    /// probing (device absent).
+    double next_probe_due = 0.0;
+  };
+
+  /// Aggregate probe statistics across all watches.
+  struct Stats {
+    std::uint64_t probes_sent = 0;
+    std::uint64_t cycles_succeeded = 0;
+    std::uint64_t cycles_failed = 0;
+  };
 
   /// Observability wiring; all referents must outlive the service.
-  /// `registry` maintains the same service-wide series as
-  /// PresenceService (probemon_presence_transitions_total,
-  /// probemon_watch_cycles_total, probemon_detection_latency_seconds,
-  /// probemon_watches) plus probemon_reply_latency_seconds. `tracer` /
-  /// `auditor` / `per_watch_metrics` additionally enable the full
-  /// per-cycle trace pipeline.
+  /// `registry` maintains (metric names documented in
+  /// docs/observability.md) probemon_presence_transitions_total,
+  /// probemon_watch_cycles_total, probemon_detection_latency_seconds
+  /// (first unanswered probe -> absence declaration), probemon_watches
+  /// and probemon_reply_latency_seconds. `tracer` records every
+  /// completed probe cycle; `auditor` audits each one against the
+  /// paper's invariants (see docs/static_analysis.md), so violations
+  /// appear in probemon_invariant_violations_total and on /healthz;
+  /// `per_watch_metrics` adds the device=<id> series. Any of those
+  /// three enables the full per-cycle trace pipeline.
   struct TelemetryOptions {
     telemetry::Registry* registry = nullptr;
     telemetry::ProbeCycleTracer* tracer = nullptr;
@@ -93,7 +144,9 @@ class AsyncPresenceService {
 
   std::size_t watch_count() const PROBEMON_EXCLUDES(mutex_);
   std::vector<net::NodeId> watched_devices() const PROBEMON_EXCLUDES(mutex_);
+  /// Point-in-time copy of the presence table.
   std::vector<PresenceEvent> snapshot() const PROBEMON_EXCLUDES(mutex_);
+  /// Point-in-time rows of the presence table, sorted by device id.
   std::vector<WatchInfo> snapshotWatches() const PROBEMON_EXCLUDES(mutex_);
   Stats stats() const PROBEMON_EXCLUDES(mutex_);
 

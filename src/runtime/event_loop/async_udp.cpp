@@ -148,21 +148,17 @@ void AsyncUdpTransport::assert_loop_confined(const char* what) const {
 #endif
 }
 
-net::NodeId AsyncUdpTransport::attach(RtHandler handler) {
+net::NodeId AsyncUdpTransport::attach(Handler handler) {
   assert_loop_confined("attach");
   const net::NodeId id = next_id_++;
   if (id >= handlers_.size()) handlers_.resize(id + 1);
   handlers_[id] = std::move(handler);
-  ++attached_;
   return id;
 }
 
 void AsyncUdpTransport::detach(net::NodeId id) {
   assert_loop_confined("detach");
-  if (id < handlers_.size() && handlers_[id]) {
-    handlers_[id] = nullptr;
-    --attached_;
-  }
+  if (id < handlers_.size()) handlers_[id] = nullptr;
 }
 
 void AsyncUdpTransport::set_peer(net::NodeId id, std::uint16_t port) {
@@ -298,9 +294,8 @@ void AsyncUdpTransport::handle_datagram(const std::uint8_t* data,
   handlers_[msg.to](msg);
 }
 
-void AsyncUdpTransport::instrument(telemetry::Registry& registry,
-                                   const std::string& transport_name) {
-  const telemetry::Labels labels{{"transport", transport_name}};
+void AsyncUdpTransport::instrument(telemetry::Registry& registry) {
+  const telemetry::Labels labels{{"transport", "udp"}};
   registry.counter_callback(
       "probemon_transport_datagrams_sent_total",
       [this] { return static_cast<double>(sent_count()); },

@@ -1,10 +1,9 @@
 // AsyncUdpTransport: batched, non-blocking UDP for the event loop.
 //
-// Where UdpTransport gives every node its own blocking socket plus a
-// receiver thread, this transport multiplexes *all* locally attached
-// NodeIds over ONE non-blocking socket owned by an EventLoop — the
-// 48-byte wire format carries from/to ids in the payload, so one fd
-// (and one epoll registration) serves 10^5 endpoints. IO is batched:
+// All locally attached NodeIds are multiplexed over ONE non-blocking
+// socket owned by an EventLoop — the 48-byte wire format
+// (runtime/udp_transport.hpp) carries from/to ids in the payload, so one
+// fd (and one epoll registration) serves 10^5 endpoints. IO is batched:
 //
 //   * receive — recvmmsg() pulls up to Config::recv_batch datagrams per
 //     syscall; the loop's level-triggered epoll re-arms if more than
@@ -26,6 +25,9 @@
 // set_peer(). SO_REUSEPORT sharding (Config::reuse_port) lets N loops
 // bind the same port and have the kernel spread load.
 //
+// Time: handlers read the loop clock (loop().now(), seconds since the
+// loop was created) — the runtime's one time base.
+//
 // Threading: attach/detach/send/flush/set_peer are loop-confined (loop
 // thread, or while the loop is not running — enforced under
 // PROBEMON_CHECKED); the counter accessors and instrument()'s callbacks
@@ -34,20 +36,23 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "runtime/event_loop/event_loop.hpp"
-#include "runtime/transport.hpp"
 #include "runtime/udp_transport.hpp"  // 48-byte wire codec
 #include "telemetry/registry.hpp"
 
 namespace probemon::runtime {
 
-class AsyncUdpTransport final : public Transport {
+class AsyncUdpTransport final {
  public:
+  /// Receives every datagram addressed to one attached NodeId, on the
+  /// loop thread.
+  using Handler = std::function<void(const net::Message&)>;
+
   struct Config {
     /// UDP port to bind on 127.0.0.1; 0 = ephemeral (see local_port()).
     std::uint16_t port = 0;
@@ -69,13 +74,14 @@ class AsyncUdpTransport final : public Transport {
   /// which must not be running yet or must be driven by the caller.
   explicit AsyncUdpTransport(EventLoop& loop);
   AsyncUdpTransport(EventLoop& loop, Config config);
-  ~AsyncUdpTransport() override;
+  ~AsyncUdpTransport();
 
-  // Transport interface (loop-confined).
-  net::NodeId attach(RtHandler handler) override;
-  void detach(net::NodeId id) override;
-  void send(net::Message msg) override;
-  const RtClock& clock() const override { return clock_; }
+  /// Register a handler; returns the node's address (loop-confined).
+  net::NodeId attach(Handler handler);
+  /// Deregister (loop-confined); the handler is not invoked again.
+  void detach(net::NodeId id);
+  /// Fire-and-forget datagram send (loop-confined).
+  void send(net::Message msg);
 
   /// Pin an external NodeId to a UDP port on 127.0.0.1 (loop-confined).
   /// Datagram source addresses update the same table automatically.
@@ -108,15 +114,14 @@ class AsyncUdpTransport final : public Transport {
     return unroutable_.load(std::memory_order_relaxed);
   }
 
-  /// Mirror counters into `registry` with label transport=<name>
+  /// Mirror counters into `registry` with label transport="udp"
   /// (probemon_transport_datagrams_{sent,delivered}_total,
   /// probemon_transport_{send,recv}_errors_total,
   /// probemon_transport_unroutable_total) plus the
   /// probemon_transport_recv_batch_depth histogram — the recvmmsg-depth
   /// distribution that shows how much batching actually bought. The
   /// registry must outlive the transport.
-  void instrument(telemetry::Registry& registry,
-                  const std::string& transport_name = "async_udp");
+  void instrument(telemetry::Registry& registry);
 
  private:
   struct IoBatches;  // platform-specific scratch (mmsghdr arrays)
@@ -131,14 +136,12 @@ class AsyncUdpTransport final : public Transport {
 
   EventLoop& loop_;
   Config config_;
-  RtClock clock_;
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
   std::uint64_t flush_hook_ = 0;
 
   /// Dense handler table indexed by NodeId (ids start at 1).
-  std::vector<RtHandler> handlers_;
-  std::size_t attached_ = 0;
+  std::vector<Handler> handlers_;
   net::NodeId next_id_ = 1;
   /// External NodeId -> UDP port (127.0.0.1), learned or pinned.
   std::unordered_map<net::NodeId, std::uint16_t> peers_;

@@ -262,6 +262,11 @@ void EventLoop::start() {
     if (running()) return;  // already started
     thread_.join();         // previous run ended via loop-thread stop()
   }
+  // Clear the previous run's stop request here, not only in run(): the
+  // wait below would otherwise see it and return before the new thread
+  // opens the task queue, and a post() in that window would run inline
+  // on this thread while the loop thread polls the same timer wheel.
+  stop_requested_.store(false, std::memory_order_release);
   thread_ = std::thread([this] { run(); });
   // Make start() synchronous with the loop being live: post() before
   // running_ flips would still be picked up (accepting_tasks_ opens in

@@ -1,11 +1,10 @@
-// EventLoop: the single-threaded epoll reactor behind the async runtime.
+// EventLoop: the single-threaded epoll reactor behind the real-time
+// runtime.
 //
 // One loop thread owns everything — the fd handlers, the wall-clock
 // timer wheel, the batched UDP transport — so the 10^5-endpoint hot
-// path runs with zero locks and zero per-event allocation. The
-// thread-per-component runtime (rt_device / rt_control_point) remains
-// for small fleets and as the semantic reference; this reactor is its
-// scale-out (ROADMAP item 1, docs/performance.md "Real-time scale").
+// path runs with zero locks and zero per-event allocation
+// (docs/performance.md "Real-time scale").
 //
 // Iteration structure (run()):
 //   1. drain cross-thread tasks posted via post()

@@ -1,14 +1,9 @@
 #include "runtime/udp_transport.hpp"
 
 #include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
+#include <cmath>
 #include <cstring>
-#include <stdexcept>
-#include <system_error>
 
 namespace probemon::runtime {
 
@@ -35,10 +30,6 @@ std::uint64_t get_u64(const std::uint8_t*& p) {
   const std::uint64_t hi = get_u32(p);
   const std::uint64_t lo = get_u32(p);
   return (hi << 32) | lo;
-}
-
-[[noreturn]] void throw_errno(const char* what) {
-  throw std::system_error(errno, std::generic_category(), what);
 }
 
 }  // namespace
@@ -90,212 +81,11 @@ bool udp_decode(const std::uint8_t in[kUdpWireSize], std::size_t size,
   out.pc = get_u64(p);
   const std::uint64_t grant_bits = get_u64(p);
   std::memcpy(&out.grant_delay, &grant_bits, 8);
+  if (!std::isfinite(out.grant_delay)) return false;
   out.last_probers[0] = get_u32(p);
   out.last_probers[1] = get_u32(p);
   out.subject = get_u32(p);
   return true;
-}
-
-UdpTransport::UdpTransport() {
-  if (pipe(wake_fds_) != 0) throw_errno("UdpTransport: pipe");
-  receiver_ = std::thread([this] { receive_loop(); });
-}
-
-UdpTransport::~UdpTransport() {
-  stop_ = true;
-  wake_receiver();
-  receiver_.join();
-  close(wake_fds_[0]);
-  close(wake_fds_[1]);
-  util::MutexLock lock(mutex_);
-  for (int fd : doomed_fds_) close(fd);
-  for (auto& [id, node] : nodes_) close(node.fd);
-}
-
-void UdpTransport::wake_receiver() {
-  const char byte = 'w';
-  [[maybe_unused]] const ssize_t n = write(wake_fds_[1], &byte, 1);
-}
-
-net::NodeId UdpTransport::attach(RtHandler handler) {
-  if (!handler) throw std::invalid_argument("attach: empty handler");
-  const int fd = socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) throw_errno("UdpTransport: socket");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral
-  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    close(fd);
-    throw_errno("UdpTransport: bind");
-  }
-  socklen_t len = sizeof addr;
-  if (getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    close(fd);
-    throw_errno("UdpTransport: getsockname");
-  }
-  net::NodeId id;
-  {
-    util::MutexLock lock(mutex_);
-    id = next_id_++;
-    nodes_.emplace(id, Node{fd, ntohs(addr.sin_port), std::move(handler)});
-  }
-  wake_receiver();  // receiver must add the new fd to its poll set
-  return id;
-}
-
-void UdpTransport::detach(net::NodeId id) {
-  {
-    util::MutexLock lock(mutex_);
-    auto it = nodes_.find(id);
-    if (it == nodes_.end()) return;
-    // The receiver thread owns recv(); it closes the fd between poll
-    // iterations so a concurrent recv never races a reused descriptor.
-    doomed_fds_.push_back(it->second.fd);
-    nodes_.erase(it);
-    while (delivering_to_ == id) cv_.wait(mutex_);
-  }
-  wake_receiver();
-}
-
-void UdpTransport::instrument(telemetry::Registry& registry) {
-  const telemetry::Labels labels{{"transport", "udp"}};
-  util::MutexLock lock(mutex_);
-  tele_sent_ =
-      &registry.counter("probemon_transport_datagrams_sent_total",
-                        "Datagrams handed to the transport", labels);
-  tele_delivered_ =
-      &registry.counter("probemon_transport_datagrams_delivered_total",
-                        "Datagrams delivered to a handler", labels);
-  tele_send_errors_ =
-      &registry.counter("probemon_transport_send_errors_total",
-                        "sendto() failures (best-effort loss)", labels);
-  tele_recv_errors_ = &registry.counter(
-      "probemon_transport_recv_errors_total",
-      "recv() failures and truncated/undecodable datagrams", labels);
-}
-
-void UdpTransport::send(net::Message msg) {
-  std::uint16_t port = 0;
-  int fd = -1;
-  {
-    util::MutexLock lock(mutex_);
-    ++sent_;
-    if (tele_sent_) tele_sent_->inc();
-    auto dst = nodes_.find(msg.to);
-    if (dst == nodes_.end()) return;  // unknown destination: dropped
-    port = dst->second.port;
-    auto src = nodes_.find(msg.from);
-    fd = src != nodes_.end() ? src->second.fd : dst->second.fd;
-  }
-  std::uint8_t wire[kUdpWireSize];
-  udp_encode(msg, wire);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  // Best-effort datagram: a full socket buffer is packet loss, exactly
-  // what the protocols are built to tolerate.
-  if (sendto(fd, wire, sizeof wire, 0, reinterpret_cast<sockaddr*>(&addr),
-             sizeof addr) < 0) {
-    util::MutexLock lock(mutex_);
-    ++send_errors_;
-    if (tele_send_errors_) tele_send_errors_->inc();
-  }
-}
-
-void UdpTransport::receive_loop() {
-  std::vector<pollfd> fds;
-  std::vector<net::NodeId> ids;
-  for (;;) {
-    if (stop_) return;
-    fds.clear();
-    ids.clear();
-    fds.push_back(pollfd{wake_fds_[0], POLLIN, 0});
-    ids.push_back(net::kInvalidNode);
-    {
-      util::MutexLock lock(mutex_);
-      for (int fd : doomed_fds_) close(fd);
-      doomed_fds_.clear();
-      for (const auto& [id, node] : nodes_) {
-        fds.push_back(pollfd{node.fd, POLLIN, 0});
-        ids.push_back(id);
-      }
-    }
-    // Block until a datagram or a wake. The receiver has no intrinsic
-    // deadlines (CP timers live in the control points), and every
-    // fd-set change — attach, detach, doomed-fd close, stop — writes
-    // the wake pipe, so an infinite timeout reacts *faster* than the
-    // old fixed 100 ms tick while idling at zero wakeups/s.
-    if (poll(fds.data(), fds.size(), -1) <= 0) continue;
-    if (fds[0].revents & POLLIN) {
-      char drain[64];
-      [[maybe_unused]] const ssize_t n =
-          read(wake_fds_[0], drain, sizeof drain);
-    }
-    for (std::size_t i = 1; i < fds.size(); ++i) {
-      if (!(fds[i].revents & POLLIN)) continue;
-      std::uint8_t wire[kUdpWireSize + 8];
-      const ssize_t n = recv(fds[i].fd, wire, sizeof wire, MSG_DONTWAIT);
-      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-          errno != EINTR) {
-        count_recv_error();
-        continue;
-      }
-      if (n <= 0) continue;
-      net::Message msg;
-      if (!udp_decode(wire, static_cast<std::size_t>(n), msg)) {
-        // Wrong size (truncated or oversized datagram) or a garbage
-        // kind byte: arrived, but not deliverable.
-        count_recv_error();
-        continue;
-      }
-      RtHandler handler;
-      {
-        util::MutexLock lock(mutex_);
-        auto it = nodes_.find(ids[i]);
-        if (it == nodes_.end()) continue;  // detached meanwhile
-        handler = it->second.handler;
-        delivering_to_ = ids[i];
-        ++delivered_;
-        if (tele_delivered_) tele_delivered_->inc();
-      }
-      handler(msg);
-      {
-        util::MutexLock lock(mutex_);
-        delivering_to_ = net::kInvalidNode;
-      }
-      cv_.notify_all();
-    }
-  }
-}
-
-void UdpTransport::count_recv_error() {
-  util::MutexLock lock(mutex_);
-  ++recv_errors_;
-  if (tele_recv_errors_) tele_recv_errors_->inc();
-}
-
-std::uint64_t UdpTransport::sent_count() const {
-  util::MutexLock lock(mutex_);
-  return sent_;
-}
-std::uint64_t UdpTransport::delivered_count() const {
-  util::MutexLock lock(mutex_);
-  return delivered_;
-}
-std::uint64_t UdpTransport::send_error_count() const {
-  util::MutexLock lock(mutex_);
-  return send_errors_;
-}
-std::uint64_t UdpTransport::recv_error_count() const {
-  util::MutexLock lock(mutex_);
-  return recv_errors_;
-}
-std::uint16_t UdpTransport::port_of(net::NodeId id) const {
-  util::MutexLock lock(mutex_);
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? 0 : it->second.port;
 }
 
 }  // namespace probemon::runtime

@@ -1,97 +1,25 @@
-// UDP loopback transport: the protocols over real datagram sockets.
+// The 48-byte UDP wire codec every real-time endpoint speaks.
 //
-// Each attached node gets its own UDP socket bound to 127.0.0.1 with an
-// ephemeral port; the NodeId doubles as an index into the port table,
-// which is exchanged in-process (a deployment would use UPnP discovery
-// for that). A single receiver thread polls all sockets and dispatches
-// to handlers. Messages travel in a fixed 48-byte big-endian wire
-// format (see udp_transport.cpp) — real serialization, real kernel
-// buffers, real (if tiny) loopback latency.
-//
-// This backend exists to back the paper's deployability claim with an
-// actual socket path; InProcTransport remains the default for tests
-// that need delay/loss injection.
+// AsyncUdpTransport (event_loop/async_udp.hpp) carries net::Message
+// datagrams in this fixed big-endian layout (see udp_transport.cpp);
+// tools/probemon_loadgen and the benchmark's raw-socket peers use the
+// same two functions to talk to it from outside the loop.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
-#include "runtime/transport.hpp"
-#include "telemetry/registry.hpp"
-#include "util/thread_annotations.hpp"
+#include "net/message.hpp"
 
 namespace probemon::runtime {
 
-class UdpTransport final : public Transport {
- public:
-  UdpTransport();
-  ~UdpTransport() override;
-
-  net::NodeId attach(RtHandler handler) override PROBEMON_EXCLUDES(mutex_);
-  void detach(net::NodeId id) override PROBEMON_EXCLUDES(mutex_);
-  void send(net::Message msg) override PROBEMON_EXCLUDES(mutex_);
-  const RtClock& clock() const override { return clock_; }
-
-  std::uint64_t sent_count() const PROBEMON_EXCLUDES(mutex_);
-  std::uint64_t delivered_count() const PROBEMON_EXCLUDES(mutex_);
-  /// sendto() failures (full socket buffer etc.) — best-effort loss.
-  std::uint64_t send_error_count() const PROBEMON_EXCLUDES(mutex_);
-  /// Receive-path failures: recv() errors plus truncated or otherwise
-  /// undecodable datagrams (anything that arrived but could not be
-  /// delivered as a Message).
-  std::uint64_t recv_error_count() const PROBEMON_EXCLUDES(mutex_);
-
-  /// Mirror datagram counts into `registry` (label transport="udp"):
-  /// probemon_transport_datagrams_{sent,delivered}_total and
-  /// probemon_transport_{send,recv}_errors_total. The registry must
-  /// outlive the transport.
-  void instrument(telemetry::Registry& registry) PROBEMON_EXCLUDES(mutex_);
-
-  /// UDP port of a node's socket (0 if unknown) — exposed for tests.
-  std::uint16_t port_of(net::NodeId id) const PROBEMON_EXCLUDES(mutex_);
-
- private:
-  struct Node {
-    int fd = -1;
-    std::uint16_t port = 0;
-    RtHandler handler;
-  };
-
-  void receive_loop() PROBEMON_EXCLUDES(mutex_);
-  void wake_receiver();
-  void count_recv_error() PROBEMON_EXCLUDES(mutex_);
-
-  RtClock clock_;
-  mutable util::Mutex mutex_{"runtime.UdpTransport"};
-  std::unordered_map<net::NodeId, Node> nodes_ PROBEMON_GUARDED_BY(mutex_);
-  /// closed by the receiver thread
-  std::vector<int> doomed_fds_ PROBEMON_GUARDED_BY(mutex_);
-  net::NodeId next_id_ PROBEMON_GUARDED_BY(mutex_) = 1;
-  net::NodeId delivering_to_ PROBEMON_GUARDED_BY(mutex_) = net::kInvalidNode;
-  util::CondVar cv_;
-  std::atomic<bool> stop_{false};
-  int wake_fds_[2] = {-1, -1};  // self-pipe to interrupt poll()
-  std::uint64_t sent_ PROBEMON_GUARDED_BY(mutex_) = 0;
-  std::uint64_t delivered_ PROBEMON_GUARDED_BY(mutex_) = 0;
-  std::uint64_t send_errors_ PROBEMON_GUARDED_BY(mutex_) = 0;
-  std::uint64_t recv_errors_ PROBEMON_GUARDED_BY(mutex_) = 0;
-  telemetry::Counter* tele_sent_ PROBEMON_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* tele_delivered_ PROBEMON_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* tele_send_errors_ PROBEMON_GUARDED_BY(mutex_) = nullptr;
-  telemetry::Counter* tele_recv_errors_ PROBEMON_GUARDED_BY(mutex_) = nullptr;
-  std::thread receiver_;
-};
-
-/// Wire codec, exposed for unit tests.
-/// Returns the encoded size (always kUdpWireSize).
 inline constexpr std::size_t kUdpWireSize = 48;
+/// Returns the encoded size (always kUdpWireSize).
 std::size_t udp_encode(const net::Message& msg,
                        std::uint8_t out[kUdpWireSize]);
-/// Returns false if the buffer is malformed (wrong size handled by
-/// caller; this checks the kind byte).
+/// Returns false if the buffer is malformed: wrong size, an unknown
+/// kind byte, or a grant_delay that is not a finite number (a NaN or
+/// infinite grant would reach the timer wheel as a deadline).
 bool udp_decode(const std::uint8_t in[kUdpWireSize], std::size_t size,
                 net::Message& out);
 

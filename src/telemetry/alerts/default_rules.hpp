@@ -5,7 +5,7 @@
 // lost by mistake, and whether the device's experienced load stays
 // within beta * L_nom. These rules encode exactly those budgets over
 // the metric families the repo already exports, so both the DES
-// dashboard and the threaded runtime alert on the same contract the
+// dashboard and the real-time runtime alert on the same contract the
 // invariant auditor checks offline.
 //
 // The load rule's beta / window defaults mirror check::AuditConfig

@@ -7,7 +7,7 @@
 // (detection-latency p99, false-alarm rate, load vs beta*L_nom) need.
 //
 // Time is always passed in by the caller: a DES experiment samples from
-// a scheduler event (Simulation::every), the threaded runtime samples
+// a scheduler event (Simulation::every), the real-time runtime samples
 // from a ticker thread (runtime/history_ticker.hpp). The class itself
 // never reads a clock, so identical sample sequences yield identical
 // query results — DES alert timelines are reproducible byte-for-byte.

@@ -36,8 +36,9 @@ ObserverAdapter::ObserverAdapter(Registry& registry, const Labels& labels)
                                 delay_buckets(),
                                 "Inter-probe-cycle delays chosen by CPs",
                                 labels)),
-      // Same name + buckets as PresenceService's runtime histogram, so
-      // the default alert ruleset works over either registry.
+      // Same name + buckets as AsyncPresenceService's runtime
+      // histogram, so the default alert ruleset works over either
+      // registry.
       detection_latency_(registry.histogram(
           "probemon_detection_latency_seconds",
           Histogram::exponential_buckets(0.01, 2.0, 11),

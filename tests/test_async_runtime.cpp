@@ -1,7 +1,9 @@
-// Tests for the event-loop runtime: AsyncUdpTransport routing and peer
-// learning over real sockets, device/control-point protocol behaviour
-// (clean cycles, retransmission, absence), the AsyncPresenceService
-// facade, and a few-hundred-endpoint smoke run on one loop thread.
+// Tests for the real-time (event-loop) runtime: AsyncUdpTransport
+// routing and peer learning over real sockets, device/control-point
+// protocol behaviour (clean cycles, grant sharing, SAPP adaptation,
+// retransmission under loss, absence, hostile replies), the
+// AsyncPresenceService facade, and a few-hundred-endpoint smoke run on
+// one loop thread.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -9,9 +11,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -68,6 +73,93 @@ core::SappCpConfig fast_sapp_cp() {
   return config;
 }
 
+/// A UDP socket on 127.0.0.1 outside the loop — an external endpoint
+/// that speaks the wire format by hand.
+struct RawPeer {
+  int fd = -1;
+  std::uint16_t port = 0;
+
+  RawPeer() {
+    fd = socket(AF_INET, SOCK_DGRAM, 0);
+    sockaddr_in local{};
+    local.sin_family = AF_INET;
+    local.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    bind(fd, reinterpret_cast<sockaddr*>(&local), sizeof local);
+    socklen_t len = sizeof local;
+    getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len);
+    port = ntohs(local.sin_port);
+    timeval rcv_timeout{0, 50'000};
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv_timeout,
+               sizeof rcv_timeout);
+  }
+  ~RawPeer() { close(fd); }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  void send_to(std::uint16_t dst_port, const net::Message& msg) const {
+    std::uint8_t wire[kUdpWireSize];
+    udp_encode(msg, wire);
+    sockaddr_in dst{};
+    dst.sin_family = AF_INET;
+    dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    dst.sin_port = htons(dst_port);
+    sendto(fd, wire, sizeof wire, 0, reinterpret_cast<sockaddr*>(&dst),
+           sizeof dst);
+  }
+
+  /// Next well-formed datagram, or false after the receive timeout.
+  bool receive(net::Message& out) const {
+    std::uint8_t wire[kUdpWireSize + 8];
+    const ssize_t n = recv(fd, wire, sizeof wire, 0);
+    return n > 0 && udp_decode(wire, static_cast<std::size_t>(n), out);
+  }
+};
+
+/// A hand-written DCPP device on a RawPeer: answers probes on its own
+/// thread, with `policy` deciding per probe whether (and with which
+/// grant) to answer. Pin it on the transport with set_peer(kId, port()).
+class FakeDevice {
+ public:
+  static constexpr net::NodeId kId = 0x50000000;
+  /// Returns false to drop the probe; otherwise fills the grant.
+  using ReplyPolicy = std::function<bool(const net::Message& probe,
+                                         double& grant_delay)>;
+
+  FakeDevice(std::uint16_t transport_port, ReplyPolicy policy)
+      : thread_([this, transport_port, policy = std::move(policy)] {
+          net::Message probe;
+          while (!stop_.load()) {
+            if (!peer_.receive(probe) ||
+                probe.kind != net::MessageKind::kProbe) {
+              continue;
+            }
+            probes_.fetch_add(1);
+            net::Message reply;
+            reply.kind = net::MessageKind::kReply;
+            reply.from = kId;
+            reply.to = probe.from;
+            reply.cycle = probe.cycle;
+            reply.attempt = probe.attempt;
+            if (policy(probe, reply.grant_delay)) {
+              peer_.send_to(transport_port, reply);
+            }
+          }
+        }) {}
+  ~FakeDevice() {
+    stop_.store(true);
+    thread_.join();
+  }
+
+  std::uint16_t port() const { return peer_.port; }
+  std::uint64_t probes() const { return probes_.load(); }
+
+ private:
+  RawPeer peer_;
+  std::atomic<bool> stop_{false};
+  std::atomic<std::uint64_t> probes_{0};
+  std::thread thread_;
+};
+
 TEST(AsyncUdpTransport, SendSideUnroutableIsCounted) {
   EventLoop loop;
   AsyncUdpTransport transport(loop);  // loop not running: direct calls OK
@@ -92,45 +184,24 @@ TEST(AsyncUdpTransport, LearnsPeerFromDatagramSource) {
 
   // Pose as an external control point on a raw socket: first datagram
   // teaches the transport our port, the device's reply comes back.
-  const int fd = socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in local{};
-  local.sin_family = AF_INET;
-  local.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(bind(fd, reinterpret_cast<sockaddr*>(&local), sizeof local), 0);
-  timeval rcv_timeout{2, 0};
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv_timeout, sizeof rcv_timeout);
-
+  RawPeer peer;
   const net::NodeId external_cp = 0x40000000;
   net::Message probe;
   probe.kind = net::MessageKind::kProbe;
   probe.from = external_cp;
   probe.to = device.id();
   probe.cycle = 7;
-  std::uint8_t wire[kUdpWireSize];
-  udp_encode(probe, wire);
-  sockaddr_in dst{};
-  dst.sin_family = AF_INET;
-  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  dst.sin_port = htons(transport.local_port());
-  ASSERT_EQ(sendto(fd, wire, sizeof wire, 0,
-                   reinterpret_cast<sockaddr*>(&dst), sizeof dst),
-            static_cast<ssize_t>(sizeof wire));
+  peer.send_to(transport.local_port(), probe);
 
-  std::uint8_t reply_wire[kUdpWireSize + 8];
-  const ssize_t n = recv(fd, reply_wire, sizeof reply_wire, 0);
-  ASSERT_EQ(n, static_cast<ssize_t>(kUdpWireSize))
-      << "no reply routed back to the learned peer";
   net::Message reply;
-  ASSERT_TRUE(udp_decode(reply_wire, kUdpWireSize, reply));
+  ASSERT_TRUE(eventually([&] { return peer.receive(reply); }))
+      << "no reply routed back to the learned peer";
   EXPECT_EQ(reply.kind, net::MessageKind::kReply);
   EXPECT_EQ(reply.from, device.id());
   EXPECT_EQ(reply.to, external_cp);
   EXPECT_EQ(reply.cycle, 7u);
   EXPECT_GE(reply.grant_delay, 0.0);
   EXPECT_EQ(device.probes_received(), 1u);
-
-  close(fd);
   loop.stop();
 }
 
@@ -270,6 +341,250 @@ TEST(AsyncRuntime, StaleRepliesFromOlderCyclesAreIgnored) {
   loop.stop();
 }
 
+TEST(AsyncUdpTransport, DeliversBetweenNodes) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  std::atomic<int> received{0};
+  net::Message last;
+  const net::NodeId a = transport.attach([](const net::Message&) {});
+  const net::NodeId b = transport.attach([&](const net::Message& msg) {
+    last = msg;  // loop thread; read after loop.stop() joins it
+    ++received;
+  });
+  loop.start();
+  loop.post([&] {
+    net::Message msg;
+    msg.kind = net::MessageKind::kProbe;
+    msg.from = a;
+    msg.to = b;
+    msg.cycle = 42;
+    transport.send(msg);
+  });
+  EXPECT_TRUE(eventually([&] { return received.load() == 1; }));
+  loop.stop();
+  EXPECT_EQ(last.cycle, 42u);
+  EXPECT_EQ(last.from, a);
+  EXPECT_EQ(transport.sent_count(), 1u);
+  EXPECT_EQ(transport.delivered_count(), 1u);
+}
+
+TEST(AsyncUdpTransport, DetachStopsDelivery) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  int received = 0;
+  const net::NodeId a = transport.attach([](const net::Message&) {});
+  const net::NodeId b =
+      transport.attach([&](const net::Message&) { ++received; });
+  transport.detach(b);
+  net::Message msg;
+  msg.kind = net::MessageKind::kProbe;
+  msg.from = a;
+  msg.to = b;
+  transport.send(msg);
+  transport.flush();
+  EXPECT_EQ(received, 0);
+  // A detached id is no longer a destination: dropped at send time.
+  EXPECT_EQ(transport.unroutable_count(), 1u);
+  EXPECT_EQ(transport.sent_count(), 0u);
+}
+
+TEST(AsyncRuntime, NonFiniteGrantReplyIsDroppedAndLoopRuns) {
+  // A peer answering with grant_delay = +inf must not reach the timer
+  // wheel (which rejects non-finite deadlines by throwing on the loop
+  // thread): the reply is a decode failure, the CP retransmits, and the
+  // loop keeps serving.
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  FakeDevice device(transport.local_port(),
+                    [](const net::Message&, double& grant) {
+                      grant = std::numeric_limits<double>::infinity();
+                      return true;
+                    });
+  transport.set_peer(FakeDevice::kId, device.port());
+  AsyncDcppControlPoint cp(transport, FakeDevice::kId, fast_dcpp_cp());
+  loop.post([&cp] { cp.start(); });
+  loop.start();
+
+  EXPECT_TRUE(eventually([&] { return transport.recv_error_count() >= 1; }));
+  // Unanswered as far as the CP can tell: it runs to exhaustion, and
+  // every one of its probes' replies counts as a receive error.
+  EXPECT_TRUE(eventually([&] { return cp.cycles_failed() == 1; }));
+  const std::uint64_t probes = 1u + fast_timeouts().max_retransmissions;
+  EXPECT_TRUE(
+      eventually([&] { return transport.recv_error_count() == probes; }));
+  EXPECT_EQ(device.probes(), probes);
+  EXPECT_EQ(cp.cycles_succeeded(), 0u);
+  std::promise<void> ran;
+  loop.post([&ran] { ran.set_value(); });
+  EXPECT_EQ(ran.get_future().wait_for(2s), std::future_status::ready);
+  EXPECT_TRUE(loop.running());
+  loop.stop();
+}
+
+TEST(RtDcpp, EndToEndProbingRespectsGrants) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  core::DcppDeviceConfig device_config;
+  device_config.delta_min = 0.01;  // 100 probes/s cap
+  device_config.d_min = 0.05;      // 20 probes/s per CP
+  AsyncDcppDevice device(transport, device_config);
+  AsyncDcppControlPoint cp(transport, device.id(), fast_dcpp_cp());
+  loop.post([&cp] { cp.start(); });
+  loop.start();
+  std::this_thread::sleep_for(500ms);
+  loop.stop();
+
+  // Lone CP probes at ~1/d_min = 20 Hz: expect ~10 cycles in 0.5 s.
+  EXPECT_GT(cp.cycles_succeeded(), 5u);
+  EXPECT_LT(cp.cycles_succeeded(), 15u);
+  EXPECT_TRUE(cp.device_considered_present());
+  EXPECT_NEAR(cp.current_delay(), 0.05, 0.02);
+}
+
+TEST(RtDcpp, MultipleCpsShareDeviceFairly) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  core::DcppDeviceConfig device_config;
+  device_config.delta_min = 0.01;  // 100 probes/s cap
+  device_config.d_min = 0.02;      // 4 CPs would want 200/s: grants bind
+  AsyncDcppDevice device(transport, device_config);
+
+  constexpr int kCps = 4;
+  std::vector<std::unique_ptr<AsyncDcppControlPoint>> cps;
+  for (int i = 0; i < kCps; ++i) {
+    cps.push_back(std::make_unique<AsyncDcppControlPoint>(
+        transport, device.id(), fast_dcpp_cp()));
+    cps.back()->start(0.005 * i);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  loop.start();
+  std::this_thread::sleep_for(600ms);
+  loop.stop();
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+
+  std::uint64_t min_cycles = UINT64_MAX, max_cycles = 0;
+  for (const auto& cp : cps) {
+    EXPECT_TRUE(cp->device_considered_present());
+    EXPECT_EQ(cp->cycles_failed(), 0u);
+    min_cycles = std::min(min_cycles, cp->cycles_succeeded());
+    max_cycles = std::max(max_cycles, cp->cycles_succeeded());
+  }
+  EXPECT_GT(min_cycles, 5u);
+  // Fair sharing: no CP gets more than ~2x another.
+  EXPECT_LT(max_cycles, 2 * min_cycles + 5);
+  // Within its grants: granted probes arrive no earlier than their
+  // slots, which are delta_min apart, so the device carries at most
+  // one probe per slot plus each CP's first, ungranted probe.
+  EXPECT_LE(static_cast<double>(device.probes_received()),
+            elapsed / device_config.delta_min + 1 + kCps);
+}
+
+TEST(RtDcpp, DetectsSilentDevice) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  core::DcppDeviceConfig device_config;
+  device_config.delta_min = 0.01;
+  device_config.d_min = 0.05;
+  AsyncDcppDevice device(transport, device_config);
+  std::atomic<int> absences{0};
+  AsyncControlPointBase::Callbacks callbacks;
+  callbacks.on_absent = [&](net::NodeId, double) { ++absences; };
+  AsyncDcppControlPoint cp(transport, device.id(), fast_dcpp_cp(), callbacks);
+  loop.post([&cp] { cp.start(); });
+  loop.start();
+  EXPECT_TRUE(eventually([&] { return cp.cycles_succeeded() >= 2; }));
+  EXPECT_TRUE(cp.device_considered_present());
+  device.go_silent();
+  EXPECT_TRUE(eventually([&] { return absences.load() == 1; }));
+  loop.stop();
+  EXPECT_FALSE(cp.device_considered_present());
+  EXPECT_EQ(absences.load(), 1);
+  EXPECT_EQ(cp.cycles_failed(), 1u);
+}
+
+TEST(RtSapp, ProbeCounterAdvancesAndCpAdapts) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  core::SappDeviceConfig device_config;  // Delta = 1e5
+  AsyncSappDevice device(transport, device_config);
+  core::SappCpConfig cp_config = fast_sapp_cp();
+  cp_config.delta_min = 0.02;
+  cp_config.initial_delay = 0.1;
+  AsyncSappControlPoint cp(transport, device.id(), cp_config);
+  loop.post([&cp] { cp.start(); });
+  loop.start();
+  // ~10 cycles/s on a quiet host; a late reply (retransmission) doubles
+  // the delay, which is the protocol working, so wait for cycles rather
+  // than for a fixed time.
+  EXPECT_TRUE(eventually([&] { return cp.cycles_succeeded() > 2; }));
+  loop.stop();
+
+  EXPECT_EQ(device.probe_counter(),
+            device.probes_received() * device_config.delta());
+  // A lone CP at 10 Hz sees L_exp = 1e5 * 10 = 1e6: inside the band, so
+  // the delay must stay within [delta_min, delta_max].
+  EXPECT_GE(cp.current_delay(), cp_config.delta_min);
+  EXPECT_LE(cp.current_delay(), cp_config.delta_max);
+}
+
+TEST(RtSapp, CallbackReportsCycleSuccess) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncSappDevice device(transport, core::SappDeviceConfig{});
+  core::SappCpConfig cp_config = fast_sapp_cp();
+  cp_config.initial_delay = 0.05;
+  cp_config.delta_min = 0.02;
+  std::atomic<int> successes{0};
+  AsyncControlPointBase::Callbacks callbacks;
+  callbacks.on_cycle_success = [&](double, double) { ++successes; };
+  AsyncSappControlPoint cp(transport, device.id(), cp_config, callbacks);
+  loop.post([&cp] { cp.start(); });
+  loop.start();
+  EXPECT_TRUE(eventually([&] { return successes.load() > 2; }));
+  loop.stop();
+}
+
+TEST(RtLossy, RetransmissionsCoverLoss) {
+  // The first probe of every cycle is lost on the way to the device;
+  // the first retransmission gets through. Every cycle must succeed on
+  // its second attempt, and nothing may be declared absent.
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  FakeDevice device(transport.local_port(),
+                    [](const net::Message& probe, double& grant) {
+                      grant = 0.01;
+                      return probe.attempt > 0;
+                    });
+  transport.set_peer(FakeDevice::kId, device.port());
+
+  std::atomic<int> cycles{0};
+  std::atomic<int> other_attempts{0};
+  std::atomic<int> absences{0};
+  AsyncControlPointBase::Callbacks callbacks;
+  callbacks.on_cycle = [&](const AsyncControlPointBase::CycleInfo& info) {
+    if (!info.success || info.attempts != 2) ++other_attempts;
+    ++cycles;
+  };
+  callbacks.on_absent = [&](net::NodeId, double) { ++absences; };
+  AsyncDcppControlPoint cp(transport, FakeDevice::kId, fast_dcpp_cp(),
+                           callbacks);
+  loop.post([&cp] { cp.start(); });
+  loop.start();
+  EXPECT_TRUE(eventually([&] { return cycles.load() >= 8; }));
+  loop.stop();
+
+  EXPECT_EQ(other_attempts.load(), 0);
+  EXPECT_EQ(absences.load(), 0);
+  EXPECT_EQ(cp.cycles_failed(), 0u);
+  EXPECT_TRUE(cp.device_considered_present());
+  // Two probes per completed cycle, plus those of a cycle still open
+  // when the loop stopped.
+  EXPECT_GE(cp.probes_sent(), 2 * cp.cycles_succeeded());
+  EXPECT_LE(cp.probes_sent(), 2 * cp.cycles_succeeded() + 2);
+}
+
 TEST(AsyncPresence, WatchUnwatchLifecycle) {
   EventLoop loop;
   AsyncUdpTransport transport(loop);
@@ -321,18 +636,153 @@ TEST(AsyncPresence, AbsenceTransitionReported) {
   AsyncDcppDevice device(transport, fast_dcpp_device());
   AsyncPresenceService service(transport);
 
+  std::atomic<int> present_events{0};
   std::atomic<int> absent_events{0};
   service.subscribe([&](const PresenceEvent& event) {
+    if (event.state == Presence::kPresent) ++present_events;
     if (event.state == Presence::kAbsent) ++absent_events;
   });
   loop.start();
   service.watch_dcpp(device.id(), fast_dcpp_cp());
-  EXPECT_TRUE(eventually([&] { return service.present(device.id()); }));
+  EXPECT_TRUE(eventually([&] { return service.stats().cycles_succeeded >= 3; }));
+  // The transition fires once, not once per successful cycle.
+  EXPECT_EQ(present_events.load(), 1);
 
   device.go_silent();
   EXPECT_TRUE(eventually([&] { return absent_events.load() == 1; }));
   EXPECT_EQ(service.presence(device.id()), Presence::kAbsent);
   EXPECT_GE(service.stats().cycles_failed, 1u);
+  loop.stop();
+}
+
+TEST(AsyncPresence, WatchIsIdempotentAndUnwatchForgets) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  AsyncPresenceService service(transport);
+  loop.start();
+  service.watch_dcpp(device.id(), fast_dcpp_cp());
+  EXPECT_TRUE(eventually([&] { return service.present(device.id()); }));
+  // A second watch (either protocol) neither duplicates nor restarts it.
+  const auto probes = service.stats().probes_sent;
+  service.watch_dcpp(device.id(), fast_dcpp_cp());
+  service.watch_sapp(device.id(), fast_sapp_cp());
+  std::this_thread::sleep_for(20ms);  // let any posted watch run
+  EXPECT_EQ(service.watch_count(), 1u);
+  EXPECT_GE(service.stats().probes_sent, probes);
+
+  service.unwatch(device.id());
+  EXPECT_TRUE(eventually([&] { return service.watch_count() == 0; }));
+  EXPECT_EQ(service.presence(device.id()), Presence::kUnknown);
+  EXPECT_TRUE(service.snapshotWatches().empty());
+  EXPECT_EQ(service.stats().probes_sent, 0u);  // its tallies are gone
+  service.unwatch(device.id());                // no-op
+  EXPECT_EQ(service.watch_count(), 0u);
+  loop.stop();
+}
+
+TEST(AsyncPresence, SappWatchWorksToo) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncSappDevice device(transport, core::SappDeviceConfig{});
+  AsyncPresenceService service(transport);
+  loop.start();
+  service.watch_sapp(device.id(), fast_sapp_cp());
+  EXPECT_TRUE(eventually([&] { return service.present(device.id()); }));
+  EXPECT_GT(service.stats().cycles_succeeded, 0u);
+  EXPECT_GT(device.probe_counter(), 0u);
+  loop.stop();
+}
+
+TEST(AsyncPresence, UnsubscribeStopsEvents) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  AsyncPresenceService service(transport);
+  std::atomic<int> events{0};
+  std::atomic<int> kept_events{0};
+  const auto token =
+      service.subscribe([&](const PresenceEvent&) { ++events; });
+  service.subscribe([&](const PresenceEvent&) { ++kept_events; });
+  service.unsubscribe(token);
+  loop.start();
+  service.watch_dcpp(device.id(), fast_dcpp_cp());
+  EXPECT_TRUE(eventually([&] { return kept_events.load() == 1; }));
+  loop.stop();
+  EXPECT_EQ(events.load(), 0);
+}
+
+TEST(AsyncPresence, SnapshotWatchesReportsLiveCycleState) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice a(transport, fast_dcpp_device());
+  AsyncDcppDevice b(transport, fast_dcpp_device());
+  AsyncPresenceService service(transport);
+  EXPECT_TRUE(service.snapshotWatches().empty());
+  service.watch_dcpp(b.id(), fast_dcpp_cp());  // out of id order
+  service.watch_dcpp(a.id(), fast_dcpp_cp());
+  loop.start();
+  EXPECT_TRUE(eventually([&] {
+    return service.stats().cycles_succeeded >= 6 && service.present(a.id()) &&
+           service.present(b.id());
+  }));
+
+  auto watches = service.snapshotWatches();
+  ASSERT_EQ(watches.size(), 2u);
+  // Sorted by device id for stable display.
+  EXPECT_LT(watches[0].device, watches[1].device);
+  for (const auto& w : watches) {
+    EXPECT_EQ(w.state, Presence::kPresent);
+    EXPECT_GT(w.probes_sent, 0u);
+    EXPECT_GT(w.cycles_succeeded, 0u);
+    EXPECT_EQ(w.cycles_failed, 0u);
+    EXPECT_GT(w.last_rtt, 0.0);             // replies carry a real latency
+    EXPECT_EQ(w.consecutive_failures, 0u);  // loopback: nothing lost
+    EXPECT_GT(w.next_probe_due, 0.0);
+  }
+
+  // Kill one device: its row flips to absent with the failed cycle's
+  // attempt count; the other keeps running.
+  b.go_silent();
+  EXPECT_TRUE(eventually(
+      [&] { return service.presence(b.id()) == Presence::kAbsent; }));
+  const auto a_cycles = service.snapshotWatches()[0].cycles_succeeded;
+  EXPECT_TRUE(eventually([&] {
+    return service.snapshotWatches()[0].cycles_succeeded > a_cycles;
+  }));
+  loop.stop();
+  watches = service.snapshotWatches();
+  const auto& alive = watches[0].device == a.id() ? watches[0] : watches[1];
+  const auto& dead = watches[0].device == b.id() ? watches[0] : watches[1];
+  EXPECT_EQ(alive.state, Presence::kPresent);
+  EXPECT_EQ(dead.state, Presence::kAbsent);
+  EXPECT_EQ(dead.cycles_failed, 1u);
+  // max_retransmissions=3 default: the failed cycle sent 4 probes.
+  EXPECT_EQ(dead.consecutive_failures, 4u);
+  EXPECT_EQ(dead.next_probe_due, 0.0);  // probing stopped
+}
+
+TEST(AsyncPresence, DestructionWhileLoopRunsIsClean) {
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncDcppDevice device(transport, fast_dcpp_device());
+  std::atomic<int> events{0};
+  loop.start();
+  {
+    AsyncPresenceService service(transport);
+    service.subscribe([&](const PresenceEvent&) { ++events; });
+    service.watch_dcpp(device.id(), fast_dcpp_cp());
+    EXPECT_TRUE(eventually([&] { return service.present(device.id()); }));
+    // Destroyed while its CP is mid-cycle on the running loop: the
+    // destructor stops the watch on the loop thread and waits.
+  }
+  std::this_thread::sleep_for(10ms);  // a probe already in flight lands
+  const int seen = events.load();
+  const auto probes = device.probes_received();
+  std::this_thread::sleep_for(60ms);  // > d_min + TOF: no CP left
+  EXPECT_EQ(device.probes_received(), probes);
+  EXPECT_EQ(events.load(), seen);
+  EXPECT_TRUE(loop.running());
   loop.stop();
 }
 

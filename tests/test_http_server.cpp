@@ -15,10 +15,11 @@
 #include <vector>
 
 #include "check/invariant_auditor.hpp"
+#include "runtime/event_loop/async_device.hpp"
+#include "runtime/event_loop/async_presence.hpp"
+#include "runtime/event_loop/async_udp.hpp"
+#include "runtime/event_loop/event_loop.hpp"
 #include "runtime/http_routes.hpp"
-#include "runtime/inproc_transport.hpp"
-#include "runtime/presence_service.hpp"
-#include "runtime/rt_device.hpp"
 #include "telemetry/alerts/alert_engine.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/history/history.hpp"
@@ -344,29 +345,27 @@ TEST(HttpServer, ConcurrentGetsAcrossRoutesAreRaceFree) {
 // ------------------------------------------------- runtime route wiring
 
 TEST(HttpRoutes, WatchesAndHealthzOverLiveService) {
-  runtime::InProcTransportConfig net_config;
-  net_config.delay_min = 0.0001;
-  net_config.delay_max = 0.0005;
-  runtime::InProcTransport transport(net_config);
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport(loop);
   core::DcppDeviceConfig device_config;
   device_config.delta_min = 0.005;
   device_config.d_min = 0.02;
-  runtime::RtDcppDevice device(transport, device_config);
+  runtime::AsyncDcppDevice device(transport, device_config);
 
   Registry registry;
   ProbeCycleTracer tracer(128);
   check::InvariantAuditor auditor({}, &registry);
-  runtime::PresenceService::TelemetryOptions wiring;
+  runtime::AsyncPresenceService::TelemetryOptions wiring;
   wiring.registry = &registry;
   wiring.tracer = &tracer;
   wiring.auditor = &auditor;
-  runtime::PresenceService service(transport, wiring);
+  runtime::AsyncPresenceService service(transport, wiring);
 
   HttpServer server;
   runtime::ObservabilitySources sources;
   sources.registry = &registry;
   sources.tracer = &tracer;
-  sources.service = &service;
+  sources.async_service = &service;
   sources.auditor = &auditor;
   runtime::register_observability_routes(server, sources);
   server.start();
@@ -375,11 +374,15 @@ TEST(HttpRoutes, WatchesAndHealthzOverLiveService) {
   cp_config.timeouts.tof = 0.020;
   cp_config.timeouts.tos = 0.015;
   service.watch_dcpp(device.id(), cp_config);
+  loop.start();
   const auto deadline = std::chrono::steady_clock::now() + 2s;
   while (!service.present(device.id()) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(5ms);
   }
+  // Freeze the presence table so the route and the direct rendering
+  // below see the same snapshot; the server keeps answering.
+  loop.stop();
   ASSERT_TRUE(service.present(device.id()));
 
   const std::string watches = body_of(http_get(server.port(), "/watches"));

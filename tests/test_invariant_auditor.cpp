@@ -10,9 +10,10 @@
 #include <thread>
 
 #include "check/invariant_auditor.hpp"
-#include "runtime/inproc_transport.hpp"
-#include "runtime/presence_service.hpp"
-#include "runtime/rt_device.hpp"
+#include "runtime/event_loop/async_device.hpp"
+#include "runtime/event_loop/async_presence.hpp"
+#include "runtime/event_loop/async_udp.hpp"
+#include "runtime/event_loop/event_loop.hpp"
 #include "scenario/experiment.hpp"
 #include "telemetry/registry.hpp"
 
@@ -258,18 +259,16 @@ TEST(InvariantAuditor, ViolationsSurfaceInRegistryAndReports) {
   EXPECT_NE(auditor.summary().find("cycle_order"), std::string::npos);
 }
 
-// --- runtime path: PresenceService feeds the auditor ------------------------
+// --- runtime path: AsyncPresenceService feeds the auditor ------------------
 
 TEST(InvariantAuditor, RuntimeWatchAuditsToZero) {
   using namespace std::chrono_literals;
-  runtime::InProcTransportConfig net;
-  net.delay_min = 0.0001;
-  net.delay_max = 0.0005;
-  runtime::InProcTransport transport(net);
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport(loop);
   core::DcppDeviceConfig device_config;
   device_config.delta_min = 0.005;
   device_config.d_min = 0.02;
-  runtime::RtDcppDevice device(transport, device_config);
+  runtime::AsyncDcppDevice device(transport, device_config);
 
   core::DcppCpConfig cp_config;
   cp_config.timeouts.tof = 0.020;
@@ -278,8 +277,13 @@ TEST(InvariantAuditor, RuntimeWatchAuditsToZero) {
   audit.timeouts = cp_config.timeouts;
   InvariantAuditor auditor(audit);
 
-  runtime::PresenceService service(transport, {nullptr, nullptr, &auditor});
+  telemetry::ProbeCycleTracer tracer(64);
+  runtime::AsyncPresenceService::TelemetryOptions wiring;
+  wiring.tracer = &tracer;
+  wiring.auditor = &auditor;
+  runtime::AsyncPresenceService service(transport, wiring);
   service.watch_dcpp(device.id(), cp_config);
+  loop.start();
   const auto deadline = std::chrono::steady_clock::now() + 2s;
   while (!service.present(device.id()) &&
          std::chrono::steady_clock::now() < deadline) {
@@ -291,7 +295,12 @@ TEST(InvariantAuditor, RuntimeWatchAuditsToZero) {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(5ms);
   }
+  EXPECT_EQ(service.presence(device.id()), runtime::Presence::kAbsent);
   service.unwatch(device.id());
+  loop.stop();
+  // Both the successful cycles and the exhausted one went through the
+  // auditor, and none broke an invariant.
+  EXPECT_GE(tracer.recorded(), 2u);
   EXPECT_EQ(auditor.total_violations(), 0u) << auditor.summary();
 }
 

@@ -1,7 +1,7 @@
 // Tests for the telemetry subsystem: metric primitives under
 // concurrency, registry semantics, exporter golden output, the probe
-// cycle tracer, and the PresenceService instrumentation agreeing with
-// its own Stats.
+// cycle tracer, and the AsyncPresenceService instrumentation agreeing
+// with its own Stats.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,9 +12,10 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/inproc_transport.hpp"
-#include "runtime/presence_service.hpp"
-#include "runtime/rt_device.hpp"
+#include "runtime/event_loop/async_device.hpp"
+#include "runtime/event_loop/async_presence.hpp"
+#include "runtime/event_loop/async_udp.hpp"
+#include "runtime/event_loop/event_loop.hpp"
 #include "telemetry/bridges.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/json.hpp"
@@ -481,22 +482,16 @@ TEST(Exporters, PeriodicReporterWritesSnapshotFile) {
 // ------------------------------------------------- end-to-end (runtime)
 
 struct RuntimeFixture {
-  runtime::InProcTransport transport;
+  runtime::EventLoop loop;
+  runtime::AsyncUdpTransport transport{loop};
   core::DcppDeviceConfig device_config;
   core::DcppCpConfig cp_config;
 
-  RuntimeFixture() : transport(fast_net()) {
+  RuntimeFixture() {
     device_config.delta_min = 0.005;
     device_config.d_min = 0.02;
     cp_config.timeouts.tof = 0.020;
     cp_config.timeouts.tos = 0.015;
-  }
-
-  static runtime::InProcTransportConfig fast_net() {
-    runtime::InProcTransportConfig config;
-    config.delay_min = 0.0001;
-    config.delay_max = 0.0005;
-    return config;
   }
 };
 
@@ -512,12 +507,13 @@ TEST(PresenceServiceTelemetry, CountersMatchStats) {
   RuntimeFixture f;
   Registry registry;
   ProbeCycleTracer tracer(256);
-  runtime::RtDcppDevice device(f.transport, f.device_config);
+  runtime::AsyncDcppDevice device(f.transport, f.device_config);
 
-  runtime::PresenceService::TelemetryOptions wiring;
+  runtime::AsyncPresenceService::TelemetryOptions wiring;
   wiring.registry = &registry;
   wiring.tracer = &tracer;
-  runtime::PresenceService service(f.transport, wiring);
+  wiring.per_watch_metrics = true;
+  runtime::AsyncPresenceService service(f.transport, wiring);
 
   std::atomic<int> absent_events{0};
   service.subscribe([&](const runtime::PresenceEvent& event) {
@@ -525,12 +521,16 @@ TEST(PresenceServiceTelemetry, CountersMatchStats) {
   });
 
   service.watch_dcpp(device.id(), f.cp_config);
+  f.loop.start();
   std::this_thread::sleep_for(150ms);
   device.go_silent();
   const auto deadline = std::chrono::steady_clock::now() + 2s;
   while (absent_events == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(5ms);
   }
+  // Joining the loop thread lets the absent cycle's remaining callbacks
+  // (counters, tracer) finish before they are compared.
+  f.loop.stop();
   ASSERT_EQ(absent_events, 1);
 
   const auto stats = service.stats();
@@ -570,19 +570,20 @@ TEST(PresenceServiceTelemetry, CountersMatchStats) {
   EXPECT_EQ(traced_failure, stats.cycles_failed);
 }
 
-TEST(TransportTelemetry, InprocCountersTrackTransportTallies) {
+TEST(TransportTelemetry, UdpCountersTrackTransportTallies) {
   RuntimeFixture f;
   Registry registry;
   f.transport.instrument(registry);
-  runtime::RtDcppDevice device(f.transport, f.device_config);
+  runtime::AsyncDcppDevice device(f.transport, f.device_config);
   device.instrument(registry);
-  runtime::PresenceService service(f.transport);
+  runtime::AsyncPresenceService service(f.transport);
   service.watch_dcpp(device.id(), f.cp_config);
+  f.loop.start();
   std::this_thread::sleep_for(200ms);
-  service.unwatch(device.id());
+  f.loop.stop();
 
   const auto samples = registry.snapshot();
-  const Labels transport_label = {{"transport", "inproc"}};
+  const Labels transport_label = {{"transport", "udp"}};
   const double sent = sample_value(
       samples, "probemon_transport_datagrams_sent_total", transport_label);
   const double delivered = sample_value(
@@ -591,9 +592,19 @@ TEST(TransportTelemetry, InprocCountersTrackTransportTallies) {
   EXPECT_GT(sent, 0.0);
   EXPECT_GT(delivered, 0.0);
   EXPECT_LE(delivered, sent);
+  EXPECT_DOUBLE_EQ(sample_value(samples, "probemon_transport_unroutable_total",
+                                transport_label),
+                   0.0);
+  // Every delivered datagram came out of some recvmmsg() batch.
+  for (const auto& s : samples) {
+    if (s.name == "probemon_transport_recv_batch_depth") {
+      EXPECT_GT(s.count, 0u);
+      EXPECT_LE(static_cast<double>(s.count), delivered);
+    }
+  }
 
-  // Device-side gauges: nominal load is config-derived, experienced load
-  // was sampled from real probe arrivals.
+  // Device-side series: nominal load is config-derived, the probe
+  // counter follows real probe arrivals.
   const Labels device_label = {{"device", std::to_string(device.id())}};
   EXPECT_DOUBLE_EQ(
       sample_value(samples, "probemon_device_nominal_load", device_label),

@@ -2,8 +2,8 @@
 // runtime.
 //
 // Drives a process that hosts AsyncDevice endpoints on an
-// AsyncUdpTransport (e.g. examples/realtime_runtime --transport=reactor
-// or bench_rt_scale's fleet) from the OUTSIDE, over real datagrams:
+// AsyncUdpTransport (e.g. examples/realtime_runtime or bench_rt_scale's
+// fleet) from the OUTSIDE, over real datagrams:
 //
 //   ./probemon_loadgen --target=PORT --rate=50000 --duration=10
 //                      --devices=1000 --cps=16 --loss=0.01
