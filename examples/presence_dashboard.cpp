@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -98,6 +99,11 @@ int main(int argc, char** argv) {
   rule_params.detection_latency_budget_s = 0.3;
   rule_params.detection_latency_window_s = 30.0;
   rule_params.false_alarm_window_s = 30.0;
+  // The load budget (beta * L_nom) watched on one instrumented device.
+  devices.front()->instrument(registry);
+  rule_params.load_labels = {
+      {"device", std::to_string(devices.front()->id())}};
+  rule_params.load_l_nom = device_config.l_nom();
   for (const auto& [series, labels] : default_rule_series(rule_params)) {
     history.track(series, labels);
   }

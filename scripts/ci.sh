@@ -2,7 +2,8 @@
 # CI gate: tier-1 build + ctest, then a bench smoke whose JSON summaries
 # are diffed so regressions fail loudly.
 #
-#   scripts/ci.sh                       # build, test, smoke, self-diff
+#   scripts/ci.sh                       # build, test, smoke, self-diff,
+#                                       #   perfbench smoke
 #   scripts/ci.sh --full                # + static analysis & sanitizer
 #                                       #   matrix (see below)
 #   BENCH_BASELINE_DIR=path scripts/ci.sh   # additionally diff against
@@ -102,6 +103,13 @@ echo "==> determinism diff (pass 1 vs pass 2, threshold 0%)"
 python3 "$ROOT/tools/bench_diff.py" \
   "$SCRATCH/run1/bench_out" "$SCRATCH/run2/bench_out" --threshold 0 \
   --ignore '(^|\.)(real_time|cpu_time|iterations|items_per_second|peak_rss_bytes)$|wall_s$|events_per_s$|bytes_per_entity$'
+
+# The benchmark (perfbench/, see BENCHMARK.json) compiles src/ through
+# the library's public types; its tiny-size smoke run (about a minute;
+# writes only the gitignored .bench_build/ and .bench_runs/) makes an
+# API change that breaks it fail here rather than in a benchmark run.
+echo "==> perfbench smoke (tiny sizes, every workload)"
+(cd "$ROOT" && python3 perfbench/smoke_test.py)
 
 if [[ -n "${BENCH_BASELINE_DIR:-}" ]]; then
   echo "==> baseline diff ($BENCH_BASELINE_DIR, threshold ${THRESHOLD}%)"

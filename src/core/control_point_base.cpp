@@ -21,14 +21,8 @@ ControlPointBase::ControlPointBase(des::Simulation& sim, net::Network& network,
       observer_(observer),
       cid_(arena.add_cp()),
       id_(network.attach(*this)),
-      cycle_(sim.scheduler(), timeouts.tof, timeouts.tos,
-             timeouts.max_retransmissions,
-             ProbeCycle::Callbacks{
-                 [this](std::uint64_t c, std::uint8_t a) { send_probe(c, a); },
-                 [this](const net::Message& reply) { handle_success(reply); },
-                 [this] { handle_failure(); }}),
-      next_cycle_timer_(sim.scheduler(), [this] { cycle_.start(); }) {
-  timeouts.validate();
+      cycle_(timeouts),
+      timer_(sim.scheduler(), [this] { on_timer(); }) {
   CpState& st = state();
   st.node = id_;
   st.device = device_;
@@ -44,9 +38,9 @@ void ControlPointBase::start(double initial_jitter) {
   if (st.running) return;
   st.running = true;
   if (initial_jitter > 0) {
-    next_cycle_timer_.arm(initial_jitter);
+    timer_.arm(initial_jitter);
   } else {
-    cycle_.start();
+    begin_cycle();
   }
 }
 
@@ -54,19 +48,42 @@ void ControlPointBase::stop() {
   if (!state().running && !network_.attached(id_)) return;
   state().running = false;
   cycle_.abort();
-  next_cycle_timer_.disarm();
+  timer_.disarm();
   if (network_.attached(id_)) network_.detach(id_);
 }
 
-void ControlPointBase::send_probe(std::uint64_t cycle, std::uint8_t attempt) {
+void ControlPointBase::on_timer() {
+  // An open cycle means the timer was its timeout; otherwise it was the
+  // inter-cycle delay (or the start jitter).
+  if (!cycle_.active()) {
+    begin_cycle();
+    return;
+  }
+  const ProbeCycle::Timeout timeout = cycle_.on_timeout(sim_.now());
+  if (timeout.absent) {
+    handle_failure();
+  } else {
+    transmit(timeout.send);
+  }
+}
+
+void ControlPointBase::begin_cycle() { transmit(cycle_.start(sim_.now())); }
+
+void ControlPointBase::transmit(const ProbeCycle::Send& send) {
+  // Arm the timeout BEFORE handing the probe to the network: the send
+  // path may deliver synchronously in unit tests with zero delay, and the
+  // reply handler must find a consistent (armed) cycle to cancel.
+  timer_.arm_at(send.deadline);
   net::Message probe;
   probe.kind = net::MessageKind::kProbe;
   probe.from = id_;
   probe.to = device_;
-  probe.cycle = cycle;
-  probe.attempt = attempt;
+  probe.cycle = send.cycle;
+  probe.attempt = send.attempt;
   network_.send(probe);
-  if (observer_) observer_->on_probe_sent(id_, device_, sim_.now(), attempt);
+  if (observer_) {
+    observer_->on_probe_sent(id_, device_, sim_.now(), send.attempt);
+  }
 }
 
 void ControlPointBase::schedule_cycle(double delay) {
@@ -75,21 +92,19 @@ void ControlPointBase::schedule_cycle(double delay) {
                         << delay);
   state().current_delay = delay;
   if (observer_) observer_->on_delay_updated(id_, sim_.now(), delay);
-  next_cycle_timer_.arm(delay);
+  timer_.arm(delay);
 }
 
-void ControlPointBase::handle_success(const net::Message& reply) {
-  if (!state().running) return;
+void ControlPointBase::handle_success(const net::Message& reply,
+                                      const ProbeCycle::Verdict& verdict) {
   learn_overlay(reply);
   if (observer_) {
-    observer_->on_cycle_success(
-        id_, device_, sim_.now(),
-        static_cast<std::uint8_t>(reply.attempt + 1));
+    observer_->on_cycle_success(id_, device_, sim_.now(), verdict.answered);
   }
   // A successful probe is evidence of presence: clear a stale verdict
   // (e.g. the device came back after a silent period).
   state().device_present = true;
-  schedule_cycle(std::max(0.0, delay_after_success(reply)));
+  schedule_cycle(std::max(0.0, delay_after_success(reply, verdict.t_obs)));
 }
 
 void ControlPointBase::handle_failure() {
@@ -155,20 +170,26 @@ void ControlPointBase::on_message(const net::Message& msg) {
   switch (msg.kind) {
     case net::MessageKind::kReply:
       if (msg.from == device_ && state().running) {
-        if (!cycle_.offer_reply(msg)) on_stale_reply(msg);
+        const ProbeCycle::Verdict verdict = cycle_.offer_reply(msg, sim_.now());
+        if (verdict.accepted) {
+          timer_.disarm();
+          handle_success(msg, verdict);
+        } else {
+          on_stale_reply(msg, verdict.t_obs);
+        }
       }
       break;
     case net::MessageKind::kBye:
       if (msg.from == device_ || msg.subject == device_) {
         cycle_.abort();
-        next_cycle_timer_.disarm();
+        timer_.disarm();
         mark_absent(/*learned=*/true);
       }
       break;
     case net::MessageKind::kNotify: {
       if (msg.subject == device_ && state().device_present) {
         cycle_.abort();
-        next_cycle_timer_.disarm();
+        timer_.disarm();
         mark_absent(/*learned=*/true);
         // mark_absent already gossiped if enabled, but honour the
         // incoming TTL when it is smaller than ours.

@@ -1,9 +1,10 @@
 // Common control-point behaviour shared by SAPP and DCPP CPs.
 //
 // A CP monitors exactly one device (the paper studies one device and k
-// CPs; device/CP groups are independent, section 3). The base class owns
-// the bounded-retransmission probe cycle, the inter-cycle delay timer,
-// absence bookkeeping, and the optional gossip dissemination of leave
+// CPs; device/CP groups are independent, section 3). The base class
+// drives the probe cycle (core::ProbeCycle) with one timer — the cycle's
+// timeout while a cycle is open, else the inter-cycle delay — and owns
+// absence bookkeeping and the optional gossip dissemination of leave
 // events over the last-two-probers overlay. Subclasses decide one thing:
 // how long to wait after a successful cycle (SAPP: adaptive; DCPP: the
 // device's grant).
@@ -11,8 +12,8 @@
 // Mutable monitoring state (running flag, presence verdict, absence
 // time, current delay, the overlay) lives in a `core::EntityArena` slab
 // addressed by a generation-tagged `CpId`; the wrapper keeps only
-// immutable identity and the timer/cycle machinery whose callbacks
-// capture `this`.
+// immutable identity, the cycle and the timer whose callback captures
+// `this`.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +81,10 @@ class ControlPointBase : public net::INetworkClient {
   void on_message(const net::Message& msg) final;
 
  protected:
-  /// Inter-cycle delay to apply after a successful cycle.
-  virtual double delay_after_success(const net::Message& reply) = 0;
+  /// Inter-cycle delay to apply after a successful cycle; `t_obs` is
+  /// the cycle's observation instant (ProbeCycle::Verdict::t_obs).
+  virtual double delay_after_success(const net::Message& reply,
+                                     double t_obs) = 0;
   /// Delay before re-probing after a failed cycle when
   /// continue_after_absence is set.
   virtual double delay_after_failure() = 0;
@@ -89,17 +92,19 @@ class ControlPointBase : public net::INetworkClient {
   /// a duplicate (the device answers every probe, so a retransmitted
   /// cycle yields several replies) or a leftover from an abandoned
   /// cycle. SAPP's load estimator consumes these (the paper phrases the
-  /// L_exp rule over successive *replies*); default ignores them.
-  virtual void on_stale_reply(const net::Message& /*reply*/) {}
-
-  des::Simulation& sim() noexcept { return sim_; }
-  ProtocolObserver* observer() noexcept { return observer_; }
+  /// L_exp rule over successive *replies*), observed at `t_obs`; default
+  /// ignores them.
+  virtual void on_stale_reply(const net::Message& /*reply*/,
+                              double /*t_obs*/) {}
 
  private:
   CpState& state() noexcept { return arena_.cp(cid_); }
   const CpState& state() const noexcept { return arena_.cp(cid_); }
-  void send_probe(std::uint64_t cycle, std::uint8_t attempt);
-  void handle_success(const net::Message& reply);
+  void on_timer();
+  void begin_cycle();
+  void transmit(const ProbeCycle::Send& send);
+  void handle_success(const net::Message& reply,
+                      const ProbeCycle::Verdict& verdict);
   void handle_failure();
   void mark_absent(bool learned);
   void disseminate(net::NodeId subject, std::uint8_t ttl);
@@ -115,7 +120,7 @@ class ControlPointBase : public net::INetworkClient {
   CpId cid_;
   net::NodeId id_ = net::kInvalidNode;
   ProbeCycle cycle_;
-  des::Timer next_cycle_timer_;
+  des::Timer timer_;
 };
 
 }  // namespace probemon::core

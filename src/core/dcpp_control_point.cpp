@@ -16,7 +16,8 @@ DcppControlPoint::DcppControlPoint(des::Simulation& sim, net::Network& network,
   config_.validate();
 }
 
-double DcppControlPoint::delay_after_success(const net::Message& reply) {
+double DcppControlPoint::delay_after_success(const net::Message& reply,
+                                             double /*t_obs*/) {
   last_grant_ = reply.grant_delay;
   return reply.grant_delay;
 }

@@ -44,7 +44,7 @@ class FixedRateControlPoint final : public ControlPointBase {
   const FixedRateCpConfig& config() const noexcept { return config_; }
 
  protected:
-  double delay_after_success(const net::Message&) override {
+  double delay_after_success(const net::Message&, double) override {
     return config_.period;
   }
   double delay_after_failure() override { return config_.period; }

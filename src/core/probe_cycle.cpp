@@ -6,76 +6,55 @@
 
 namespace probemon::core {
 
-ProbeCycle::ProbeCycle(des::Scheduler& scheduler, double tof, double tos,
-                       int max_retransmissions, Callbacks callbacks)
-    : scheduler_(scheduler),
-      tof_(tof),
-      tos_(tos),
-      max_retransmissions_(max_retransmissions),
-      callbacks_(std::move(callbacks)),
-      timer_(scheduler, [this] { on_timeout(); }) {
-  if (!(tof > 0) || !(tos > 0)) {
-    throw std::invalid_argument("ProbeCycle: timeouts must be > 0");
-  }
-  if (max_retransmissions < 0) {
-    throw std::invalid_argument("ProbeCycle: max_retransmissions >= 0");
-  }
-  if (!callbacks_.send_probe || !callbacks_.on_success ||
-      !callbacks_.on_failure) {
-    throw std::invalid_argument("ProbeCycle: all callbacks required");
-  }
+ProbeCycle::ProbeCycle(const TimeoutConfig& timeouts) : timeouts_(timeouts) {
+  timeouts_.validate();
 }
 
-void ProbeCycle::start() {
+ProbeCycle::Send ProbeCycle::start(double now) {
   if (active_) throw std::logic_error("ProbeCycle::start: cycle active");
   active_ = true;
   ++cycle_;
-  ++cycles_started_;
   attempt_ = 0;
-  cycle_start_time_ = scheduler_.now();
-  transmit();
+  cycle_start_time_ = now;
+  return transmit(now);
 }
 
-void ProbeCycle::abort() {
-  if (!active_) return;
-  active_ = false;
-  timer_.disarm();
-}
-
-void ProbeCycle::transmit() {
-  PROBEMON_INVARIANT(attempt_ <= max_retransmissions_,
+ProbeCycle::Send ProbeCycle::transmit(double now) {
+  PROBEMON_INVARIANT(attempt_ <= timeouts_.max_retransmissions,
                      "probe cycle " << cycle_ << " transmitting attempt "
                          << int(attempt_) << " beyond the paper's bound of "
-                         << max_retransmissions_ << " retransmissions");
-  last_send_time_ = scheduler_.now();
-  ++probes_sent_;
-  // Arm the timeout BEFORE handing the probe to the network: the send
-  // path may deliver synchronously in unit tests with zero delay, and the
-  // reply handler must find a consistent (armed) cycle to cancel.
-  timer_.arm(attempt_ == 0 ? tof_ : tos_);
-  callbacks_.send_probe(cycle_, attempt_);
+                         << timeouts_.max_retransmissions
+                         << " retransmissions");
+  last_send_time_ = now;
+  return Send{cycle_, attempt_,
+              now + (attempt_ == 0 ? timeouts_.tof : timeouts_.tos)};
 }
 
-void ProbeCycle::on_timeout() {
-  if (!active_) return;
-  if (attempt_ < max_retransmissions_) {
+ProbeCycle::Timeout ProbeCycle::on_timeout(double now) {
+  PROBEMON_CONTRACT(active_, "ProbeCycle::on_timeout without an active cycle");
+  if (attempt_ < timeouts_.max_retransmissions) {
     ++attempt_;
-    transmit();
-    return;
+    return Timeout{false, transmit(now)};
   }
   active_ = false;
   ++cycles_failed_;
-  callbacks_.on_failure();
+  return Timeout{true, {}};
 }
 
-bool ProbeCycle::offer_reply(const net::Message& reply) {
-  if (!active_) return false;
-  if (reply.cycle != cycle_) return false;  // stale: an abandoned cycle
+ProbeCycle::Verdict ProbeCycle::offer_reply(const net::Message& reply,
+                                            double now) {
+  Verdict v;
+  v.t_obs = now;
+  // Stale: no cycle open, or a reply to an abandoned/completed cycle.
+  if (!active_ || reply.cycle != cycle_) return v;
   active_ = false;
-  timer_.disarm();
   ++cycles_succeeded_;
-  callbacks_.on_success(reply);
-  return true;
+  v.accepted = true;
+  if (reply.attempt != 0) v.t_obs = last_send_time_;
+  v.rtt = now - last_send_time_;
+  v.answered = static_cast<std::uint8_t>(reply.attempt + 1);
+  v.sent = static_cast<std::uint8_t>(attempt_ + 1);
+  return v;
 }
 
 }  // namespace probemon::core

@@ -1,15 +1,32 @@
 #include "runtime/event_loop/async_control_point.hpp"
 
+#include <stdexcept>
+
 namespace probemon::runtime {
+namespace {
+
+/// The reactor's control points end monitoring on absence by design, so
+/// a config asking to keep probing is refused rather than ignored.
+template <typename Config>
+const Config& reactor_config(const Config& config) {
+  config.validate();
+  if (config.continue_after_absence) {
+    throw std::invalid_argument(
+        "AsyncControlPoint: continue_after_absence is not supported "
+        "(monitoring stops on absence; re-watch to resume)");
+  }
+  return config;
+}
+
+}  // namespace
 
 AsyncControlPointBase::AsyncControlPointBase(
     AsyncUdpTransport& transport, net::NodeId device,
     const core::TimeoutConfig& timeouts, Callbacks callbacks)
     : transport_(transport),
       device_(device),
-      timeouts_(timeouts),
-      callbacks_(std::move(callbacks)) {
-  timeouts_.validate();
+      callbacks_(std::move(callbacks)),
+      cycle_(timeouts) {
   id_ = transport_.attach([this](const net::Message& msg) { handle(msg); });
 }
 
@@ -30,7 +47,7 @@ void AsyncControlPointBase::stop() {
   if (stopped_) return;
   stopped_ = true;
   disarm();
-  awaiting_reply_ = false;
+  cycle_.abort();
   transport_.detach(id_);
 }
 
@@ -44,150 +61,129 @@ void AsyncControlPointBase::disarm() {
 void AsyncControlPointBase::begin_cycle() {
   timer_ = des::EventId{};
   if (stopped_) return;
-  ++cycle_;
-  attempt_ = 0;
-  awaiting_reply_ = true;
-  send_attempt();
+  transmit(cycle_.start(transport_.loop().now()));
 }
 
-void AsyncControlPointBase::send_attempt() {
+void AsyncControlPointBase::transmit(const core::ProbeCycle::Send& send) {
   probes_sent_.fetch_add(1, std::memory_order_relaxed);
-  sent_at_ = transport_.loop().now();
-  if (attempt_ == 0) {
-    cycle_start_ = sent_at_;
-    if (callbacks_.on_cycle_trace) {
+  if (callbacks_.on_cycle_trace) {
+    if (send.attempt == 0) {
       trace_.cp = id_;
       trace_.device = device_;
-      trace_.cycle = cycle_;
-      trace_.start = sent_at_;
-      trace_.rtt = 0.0;
+      trace_.cycle = send.cycle;
+      trace_.start = cycle_.cycle_start_time();
       trace_.sends.clear();
     }
+    trace_.sends.push_back(cycle_.last_send_time());
   }
-  if (callbacks_.on_cycle_trace) trace_.sends.push_back(sent_at_);
-
+  timer_ = transport_.loop().timers().schedule_at(send.deadline,
+                                                  [this] { on_timeout(); });
   net::Message probe;
   probe.kind = net::MessageKind::kProbe;
   probe.from = id_;
   probe.to = device_;
-  probe.cycle = cycle_;
-  probe.attempt = static_cast<std::uint8_t>(attempt_);
+  probe.cycle = send.cycle;
+  probe.attempt = send.attempt;
   transport_.send(probe);
-
-  const double deadline =
-      sent_at_ + (attempt_ == 0 ? timeouts_.tof : timeouts_.tos);
-  timer_ = transport_.loop().timers().schedule_at(deadline,
-                                                  [this] { on_timeout(); });
 }
 
 void AsyncControlPointBase::on_timeout() {
   timer_ = des::EventId{};
-  if (stopped_ || !awaiting_reply_) return;
-  if (attempt_ < timeouts_.max_retransmissions) {
-    ++attempt_;
-    send_attempt();
+  if (!cycle_.active()) return;
+  const double now = transport_.loop().now();
+  const core::ProbeCycle::Timeout timeout = cycle_.on_timeout(now);
+  if (!timeout.absent) {
+    transmit(timeout.send);
     return;
   }
-  declare_absent();
+  device_present_.store(false, std::memory_order_relaxed);
+  cycles_failed_.fetch_add(1, std::memory_order_relaxed);
+  CycleInfo info;
+  info.start = cycle_.cycle_start_time();
+  info.end = now;
+  info.attempts = static_cast<std::uint8_t>(cycle_.attempt() + 1);
+  report(info);
+  // Monitoring ends here — no timer re-armed (the protocol's CP stops
+  // probing an absent device; re-watch to resume).
 }
 
 void AsyncControlPointBase::handle(const net::Message& msg) {
   if (msg.kind != net::MessageKind::kReply || msg.from != device_) return;
-  // Stale replies — an older cycle's retransmission answered late, or a
-  // reply after absence was declared — are dropped, same as the DES CP.
-  if (stopped_ || !awaiting_reply_ || msg.cycle != cycle_) return;
-  disarm();
-  awaiting_reply_ = false;
-
+  if (!started_ || stopped_) return;
   const double now = transport_.loop().now();
-  // Same observation rule as the DES CPs: a clean success uses
-  // the reply arrival instant, a retransmitted success the send time.
-  const double t_obs = attempt_ == 0 ? now : sent_at_;
-  const double rtt = now - sent_at_;
-  const double delay = next_delay(msg, t_obs);
-  const auto attempts = static_cast<std::uint8_t>(attempt_ + 1);
-
+  const core::ProbeCycle::Verdict verdict = cycle_.offer_reply(msg, now);
+  if (!verdict.accepted) {
+    on_stale_reply(msg, verdict.t_obs);
+    return;
+  }
+  disarm();
+  const double delay = next_delay(msg, verdict.t_obs);
   current_delay_.store(delay, std::memory_order_relaxed);
   device_present_.store(true, std::memory_order_relaxed);
   cycles_succeeded_.fetch_add(1, std::memory_order_relaxed);
 
-  if (callbacks_.on_cycle) {
-    CycleInfo info;
-    info.success = true;
-    info.start = cycle_start_;
-    info.end = now;
-    info.rtt = rtt;
-    info.next_delay = delay;
-    info.attempts = attempts;
-    callbacks_.on_cycle(info);
-  }
-  if (callbacks_.on_cycle_trace) {
-    trace_.end = now;
-    trace_.attempts = attempts;
-    trace_.success = true;
-    trace_.rtt = rtt;
-    callbacks_.on_cycle_trace(trace_);
-  }
-  if (callbacks_.on_cycle_success) callbacks_.on_cycle_success(now, delay);
+  CycleInfo info;
+  info.success = true;
+  info.start = cycle_.cycle_start_time();
+  info.end = now;
+  info.rtt = verdict.rtt;
+  info.next_delay = delay;
+  info.attempts = verdict.sent;
+  report(info);
   if (stopped_) return;  // a callback stopped this CP
 
   timer_ = transport_.loop().timers().schedule_after(
       delay, [this] { begin_cycle(); });
 }
 
-void AsyncControlPointBase::declare_absent() {
-  awaiting_reply_ = false;
-  const double now = transport_.loop().now();
-  const auto attempts = static_cast<std::uint8_t>(attempt_ + 1);
-
-  device_present_.store(false, std::memory_order_relaxed);
-  cycles_failed_.fetch_add(1, std::memory_order_relaxed);
-
-  if (callbacks_.on_cycle) {
-    CycleInfo info;
-    info.success = false;
-    info.start = cycle_start_;
-    info.end = now;
-    info.attempts = attempts;
-    callbacks_.on_cycle(info);
-  }
+void AsyncControlPointBase::report(const CycleInfo& info) {
+  if (callbacks_.on_cycle) callbacks_.on_cycle(info);
   if (callbacks_.on_cycle_trace) {
-    trace_.end = now;
-    trace_.attempts = attempts;
-    trace_.success = false;
-    trace_.rtt = 0.0;
+    trace_.end = info.end;
+    trace_.attempts = info.attempts;
+    trace_.success = info.success;
+    trace_.rtt = info.rtt;
     callbacks_.on_cycle_trace(trace_);
   }
-  if (callbacks_.on_absent) callbacks_.on_absent(device_, now);
-  // Monitoring ends here — no timer re-armed (the protocol's CP stops
-  // probing an absent device; re-watch to resume).
 }
 
 AsyncSappControlPoint::AsyncSappControlPoint(AsyncUdpTransport& transport,
                                              net::NodeId device,
                                              core::SappCpConfig config,
                                              Callbacks callbacks)
-    : AsyncControlPointBase(transport, device, config.timeouts,
+    : AsyncControlPointBase(transport, device,
+                            reactor_config(config).timeouts,
                             std::move(callbacks)),
       config_(config),
-      adaptation_(config_) {
-  config_.validate();
+      adaptation_(config_),
+      delta_(adaptation_.delta()) {}
+
+double AsyncSappControlPoint::observe(const net::Message& reply,
+                                      double t_obs) {
+  const double delta = adaptation_.observe(reply.pc, t_obs);
+  delta_.store(delta, std::memory_order_relaxed);
+  return delta;
 }
 
 double AsyncSappControlPoint::next_delay(const net::Message& reply,
                                          double t_obs) {
-  return adaptation_.observe(reply.pc, t_obs);
+  return observe(reply, t_obs);
+}
+
+void AsyncSappControlPoint::on_stale_reply(const net::Message& reply,
+                                           double t_obs) {
+  // Same rule as the DES SappControlPoint: duplicates are load
+  // observations too; the new delta takes effect after the next cycle.
+  if (config_.use_every_reply) observe(reply, t_obs);
 }
 
 AsyncDcppControlPoint::AsyncDcppControlPoint(AsyncUdpTransport& transport,
                                              net::NodeId device,
                                              core::DcppCpConfig config,
                                              Callbacks callbacks)
-    : AsyncControlPointBase(transport, device, config.timeouts,
-                            std::move(callbacks)),
-      config_(config) {
-  config_.validate();
-}
+    : AsyncControlPointBase(transport, device,
+                            reactor_config(config).timeouts,
+                            std::move(callbacks)) {}
 
 double AsyncDcppControlPoint::next_delay(const net::Message& reply,
                                          double /*t_obs*/) {

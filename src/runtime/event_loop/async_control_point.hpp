@@ -1,22 +1,18 @@
-// Async control points: the bounded-retransmission probe cycle as an
-// event-loop state machine.
+// Async control points: the reactor's driver of the probe cycle.
 //
-// The cycle — first probe, TOF timeout, up to max_retransmissions
-// TOS-spaced retries, absence declaration on exhaustion,
-// protocol-chosen inter-cycle delay on success — runs as timer
-// callbacks on one EventLoop, so 10^5 CPs cost two timer slots and a
-// few hundred bytes each instead of a thread each. Protocol points
-// shared with the DES control points (core::ProbeCycle) and checked by
-// the invariant auditor:
+// The cycle itself (probes, TOF/TOS deadlines, absence on exhaustion,
+// the stale-reply test and the SAPP observation rule) is the sans-IO
+// core::ProbeCycle the DES control points drive too. This class runs it
+// on one EventLoop with one timer-wheel slot (the cycle's timeout, else
+// the protocol-chosen inter-cycle delay), so 10^5 CPs cost a few hundred
+// bytes each instead of a thread each. Reactor-specific points:
 //
-//   * observation rule — a clean (attempt 0) success observes at the
-//     reply arrival instant, a retransmitted success at the last send
-//     instant;
-//   * stale replies from older cycles are ignored;
 //   * monitoring STOPS once the device is declared absent (the paper's
-//     CP behaviour; re-watch to resume);
+//     CP behaviour; re-watch to resume), so continue_after_absence is
+//     rejected;
 //   * rtt = reply arrival − last send, so the auditor's
-//     rtt ≤ end − last_send bound holds with equality.
+//     rtt ≤ end − last_send bound holds with equality;
+//   * CycleInfo/ProbeCycleTrace `attempts` counts the probes sent.
 //
 // Callback tiers: on_cycle (POD summary, no allocation — the one the
 // 100k-endpoint service uses) always fires; on_cycle_trace (full
@@ -33,6 +29,7 @@
 #include <functional>
 
 #include "core/config.hpp"
+#include "core/probe_cycle.hpp"
 #include "core/sapp_adaptation.hpp"
 #include "runtime/event_loop/async_udp.hpp"
 #include "telemetry/probe_tracer.hpp"
@@ -52,11 +49,8 @@ class AsyncControlPointBase {
   };
 
   struct Callbacks {
-    /// Invoked (on the loop thread) when the device is declared absent.
-    std::function<void(net::NodeId device, double t)> on_absent;
-    /// Invoked after every successful cycle with the chosen delay.
-    std::function<void(double t, double delay)> on_cycle_success;
-    /// Invoked once per completed cycle, success or failure.
+    /// Invoked (on the loop thread) once per completed cycle. A failed
+    /// cycle is the absence declaration, after which probing stops.
     std::function<void(const CycleInfo&)> on_cycle;
     /// Full-span record with per-attempt send instants; costs a heap
     /// vector per CP, so leave unset at 10^5 scale unless tracing.
@@ -101,30 +95,31 @@ class AsyncControlPointBase {
   }
 
  protected:
-  /// Inter-cycle delay after a successful cycle (loop thread).
+  /// Inter-cycle delay after a successful cycle (loop thread); `t_obs`
+  /// is the cycle's observation instant (ProbeCycle::Verdict::t_obs).
   virtual double next_delay(const net::Message& reply, double t_obs) = 0;
+  /// A reply from the device that the cycle rejected — a duplicate or a
+  /// leftover from an earlier cycle — observed at `t_obs`. Default
+  /// ignores it.
+  virtual void on_stale_reply(const net::Message& /*reply*/,
+                              double /*t_obs*/) {}
 
  private:
   void handle(const net::Message& msg);
   void begin_cycle();
-  void send_attempt();
+  void transmit(const core::ProbeCycle::Send& send);
   void on_timeout();
-  void declare_absent();
+  void report(const CycleInfo& info);
   void disarm();
 
   AsyncUdpTransport& transport_;
   net::NodeId device_;
-  core::TimeoutConfig timeouts_;
   Callbacks callbacks_;
   net::NodeId id_;
+  core::ProbeCycle cycle_;
 
   bool started_ = false;
   bool stopped_ = false;
-  bool awaiting_reply_ = false;
-  std::uint64_t cycle_ = 0;
-  int attempt_ = 0;
-  double cycle_start_ = 0.0;
-  double sent_at_ = 0.0;
   des::EventId timer_{};
 
   /// Reused across cycles (sends vector only populated when the trace
@@ -138,22 +133,34 @@ class AsyncControlPointBase {
   std::atomic<double> current_delay_{0.0};
 };
 
+/// Throws std::invalid_argument on an invalid config or on
+/// continue_after_absence (the reactor stops monitoring on absence).
 class AsyncSappControlPoint final : public AsyncControlPointBase {
  public:
   AsyncSappControlPoint(AsyncUdpTransport& transport, net::NodeId device,
                         core::SappCpConfig config, Callbacks callbacks = {});
   ~AsyncSappControlPoint() override { stop(); }
 
-  double delta() const noexcept { return current_delay(); }
+  /// The adaptation's current delay δ (moves on every observed reply,
+  /// including rejected ones when use_every_reply is set).
+  double delta() const noexcept {
+    return delta_.load(std::memory_order_relaxed);
+  }
 
  protected:
   double next_delay(const net::Message& reply, double t_obs) override;
+  void on_stale_reply(const net::Message& reply, double t_obs) override;
 
  private:
+  double observe(const net::Message& reply, double t_obs);
+
   core::SappCpConfig config_;
   core::SappAdaptation adaptation_;
+  std::atomic<double> delta_;
 };
 
+/// Throws std::invalid_argument on an invalid config or on
+/// continue_after_absence (the reactor stops monitoring on absence).
 class AsyncDcppControlPoint final : public AsyncControlPointBase {
  public:
   AsyncDcppControlPoint(AsyncUdpTransport& transport, net::NodeId device,
@@ -162,9 +169,6 @@ class AsyncDcppControlPoint final : public AsyncControlPointBase {
 
  protected:
   double next_delay(const net::Message& reply, double t_obs) override;
-
- private:
-  core::DcppCpConfig config_;
 };
 
 }  // namespace probemon::runtime

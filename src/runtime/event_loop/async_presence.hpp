@@ -174,10 +174,10 @@ class AsyncPresenceService {
   void adopt_watch(net::NodeId device,
                    std::unique_ptr<AsyncControlPointBase> cp,
                    double start_jitter_s) PROBEMON_EXCLUDES(mutex_);
+  /// Updates the watch row and, on a presence transition, notifies
+  /// subscribers (outside the lock).
   void on_cycle(net::NodeId device,
                 const AsyncControlPointBase::CycleInfo& info)
-      PROBEMON_EXCLUDES(mutex_);
-  void on_transition(net::NodeId device, Presence state, double t)
       PROBEMON_EXCLUDES(mutex_);
   /// Stop `watches` on the loop thread (waiting for it when off-loop)
   /// so no callback can touch `this` afterwards.

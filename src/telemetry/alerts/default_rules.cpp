@@ -64,7 +64,7 @@ std::vector<AlertRule> default_presence_rules(const DefaultRuleParams& params) {
 
   AlertRule load;
   load.name = "device_load";
-  load.expr = "avg(" +
+  load.expr = "rate(" +
               selector(params.load_series, params.load_labels,
                        params.load_window_s) +
               ")";

@@ -43,10 +43,15 @@ struct DefaultRuleParams {
   double false_alarm_for_s = 0.0;
 
   // --- device_load ----------------------------------------------------------
-  /// Gauge of the device's experienced probe load (probes/s).
-  std::string load_series = "probemon_device_experienced_load";
+  /// Counter of probes one device handled; its rate over the window is
+  /// the device's experienced probe load (probes/s). The async devices
+  /// export it per device (AsyncDeviceBase::instrument), so set
+  /// load_labels to {{"device", "<id>"}} of an instrumented device;
+  /// unlabelled, the selector matches no series and the rule stays
+  /// inactive (NaN never breaches).
+  std::string load_series = "probemon_device_probes_received_total";
   Labels load_labels;
-  /// The paper's bound: avg load over the window <= beta * l_nom.
+  /// The paper's bound: load over the window <= beta * l_nom.
   double load_l_nom = 10.0;
   double load_beta = 1.5;
   double load_window_s = 30.0;

@@ -10,7 +10,7 @@
 //   probemon_watches
 //   rate(probemon_presence_transitions_total{state="absent"}[120])
 //   quantile(0.99, probemon_detection_latency_seconds[60s])
-//   avg(probemon_device_experienced_load[30])
+//   rate(probemon_device_probes_received_total{device="3"}[30s])
 //
 // parse_query throws std::invalid_argument with a byte position on any
 // malformed input; eval_query is pure over the history's sampled state

@@ -231,6 +231,52 @@ TEST(DefaultRules, EncodeThePaperBudgets) {
   EXPECT_EQ(engine.rule_count(), 3u);
 }
 
+TEST(DefaultRules, DeviceLoadFiresOnProbeRateAboveBetaLNom) {
+  // The load rule reads the probe counter one async device exports
+  // (AsyncDeviceBase::instrument): its rate is the experienced load.
+  Registry reg;
+  const Labels device{{"device", "3"}};
+  double probes = 0;
+  reg.counter_callback(
+      "probemon_device_probes_received_total", [&probes] { return probes; },
+      "", device);
+  telemetry::DefaultRuleParams params;
+  params.load_labels = device;
+  params.load_l_nom = 10.0;  // budget: beta * L_nom = 15 probes/s
+  params.load_window_s = 5.0;
+  TimeSeriesHistory history(reg);
+  for (const auto& [series, labels] : default_rule_series(params)) {
+    history.track(series, labels);
+  }
+  AlertEngine engine(&history);
+  for (const auto& rule : default_presence_rules(params)) {
+    engine.add_rule(rule);
+  }
+  auto load_status = [&](double t) {
+    history.sample(t);
+    engine.evaluate(t);
+    for (const auto& status : engine.snapshot()) {
+      if (status.rule == "device_load") return status;
+    }
+    ADD_FAILURE() << "no device_load instance";
+    return telemetry::AlertEngine::AlertStatus{};
+  };
+
+  // 10 probes/s: inside the budget.
+  for (int t = 0; t <= 5; ++t) {
+    probes = 10.0 * t;
+    EXPECT_EQ(load_status(t).state, AlertState::kInactive) << "t=" << t;
+  }
+  // 30 probes/s: above beta * L_nom once it fills the window.
+  telemetry::AlertEngine::AlertStatus status;
+  for (int t = 6; t <= 11; ++t) {
+    probes += 30.0;
+    status = load_status(t);
+  }
+  EXPECT_EQ(status.state, AlertState::kFiring);
+  EXPECT_DOUBLE_EQ(status.value, 30.0);
+}
+
 /// Run one DES experiment where the device departs mid-run, with the
 /// default detection-latency rule evaluated from simulation time, and
 /// return {observed state sequence, final /alerts JSON}.

@@ -18,6 +18,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -115,18 +116,24 @@ struct RawPeer {
   }
 };
 
-/// A hand-written DCPP device on a RawPeer: answers probes on its own
-/// thread, with `policy` deciding per probe whether (and with which
-/// grant) to answer. Pin it on the transport with set_peer(kId, port()).
+/// A hand-written device on a RawPeer: answers probes on its own
+/// thread, with `policy` deciding per probe what (and how often) to
+/// answer. Pin it on the transport with set_peer(kId, port()).
 class FakeDevice {
  public:
   static constexpr net::NodeId kId = 0x50000000;
-  /// Returns false to drop the probe; otherwise fills the grant.
-  using ReplyPolicy = std::function<bool(const net::Message& probe,
-                                         double& grant_delay)>;
+  using Send = std::function<void(const net::Message& reply)>;
+  /// Gets each probe and a reply addressed to its sender (kind, cycle
+  /// and attempt filled in); calls `send` once per reply to transmit.
+  using ReplyPolicy = std::function<void(const net::Message& probe,
+                                         net::Message& reply,
+                                         const Send& send)>;
 
   FakeDevice(std::uint16_t transport_port, ReplyPolicy policy)
       : thread_([this, transport_port, policy = std::move(policy)] {
+          const Send send = [this, transport_port](const net::Message& m) {
+            peer_.send_to(transport_port, m);
+          };
           net::Message probe;
           while (!stop_.load()) {
             if (!peer_.receive(probe) ||
@@ -140,9 +147,7 @@ class FakeDevice {
             reply.to = probe.from;
             reply.cycle = probe.cycle;
             reply.attempt = probe.attempt;
-            if (policy(probe, reply.grant_delay)) {
-              peer_.send_to(transport_port, reply);
-            }
+            policy(probe, reply, send);
           }
         }) {}
   ~FakeDevice() {
@@ -265,7 +270,10 @@ TEST(AsyncRuntime, SappCycleObservesProbeCounter) {
   AsyncSappDevice device(transport, device_config);
   std::atomic<int> successes{0};
   AsyncControlPointBase::Callbacks callbacks;
-  callbacks.on_cycle_success = [&successes](double, double) { ++successes; };
+  callbacks.on_cycle =
+      [&successes](const AsyncControlPointBase::CycleInfo& info) {
+        if (info.success) ++successes;
+      };
   AsyncSappControlPoint cp(transport, device.id(), fast_sapp_cp(), callbacks);
   loop.post([&cp] { cp.start(); });
   loop.start();
@@ -288,9 +296,9 @@ TEST(AsyncRuntime, SilentDeviceDeclaredAbsentAndMonitoringStops) {
   std::atomic<int> absences{0};
   std::atomic<double> absent_at{-1.0};
   AsyncControlPointBase::Callbacks callbacks;
-  callbacks.on_absent = [&](net::NodeId dev, double t) {
-    EXPECT_EQ(dev, device.id());
-    absent_at.store(t);
+  callbacks.on_cycle = [&](const AsyncControlPointBase::CycleInfo& info) {
+    if (info.success) return;
+    absent_at.store(info.end);
     ++absences;
   };
   AsyncDcppControlPoint cp(transport, device.id(), fast_dcpp_cp(), callbacks);
@@ -396,9 +404,11 @@ TEST(AsyncRuntime, NonFiniteGrantReplyIsDroppedAndLoopRuns) {
   EventLoop loop;
   AsyncUdpTransport transport(loop);
   FakeDevice device(transport.local_port(),
-                    [](const net::Message&, double& grant) {
-                      grant = std::numeric_limits<double>::infinity();
-                      return true;
+                    [](const net::Message&, net::Message& reply,
+                       const FakeDevice::Send& send) {
+                      reply.grant_delay =
+                          std::numeric_limits<double>::infinity();
+                      send(reply);
                     });
   transport.set_peer(FakeDevice::kId, device.port());
   AsyncDcppControlPoint cp(transport, FakeDevice::kId, fast_dcpp_cp());
@@ -490,7 +500,9 @@ TEST(RtDcpp, DetectsSilentDevice) {
   AsyncDcppDevice device(transport, device_config);
   std::atomic<int> absences{0};
   AsyncControlPointBase::Callbacks callbacks;
-  callbacks.on_absent = [&](net::NodeId, double) { ++absences; };
+  callbacks.on_cycle = [&](const AsyncControlPointBase::CycleInfo& info) {
+    if (!info.success) ++absences;
+  };
   AsyncDcppControlPoint cp(transport, device.id(), fast_dcpp_cp(), callbacks);
   loop.post([&cp] { cp.start(); });
   loop.start();
@@ -538,7 +550,9 @@ TEST(RtSapp, CallbackReportsCycleSuccess) {
   cp_config.delta_min = 0.02;
   std::atomic<int> successes{0};
   AsyncControlPointBase::Callbacks callbacks;
-  callbacks.on_cycle_success = [&](double, double) { ++successes; };
+  callbacks.on_cycle = [&](const AsyncControlPointBase::CycleInfo& info) {
+    if (info.success) ++successes;
+  };
   AsyncSappControlPoint cp(transport, device.id(), cp_config, callbacks);
   loop.post([&cp] { cp.start(); });
   loop.start();
@@ -553,9 +567,10 @@ TEST(RtLossy, RetransmissionsCoverLoss) {
   EventLoop loop;
   AsyncUdpTransport transport(loop);
   FakeDevice device(transport.local_port(),
-                    [](const net::Message& probe, double& grant) {
-                      grant = 0.01;
-                      return probe.attempt > 0;
+                    [](const net::Message& probe, net::Message& reply,
+                       const FakeDevice::Send& send) {
+                      reply.grant_delay = 0.01;
+                      if (probe.attempt > 0) send(reply);
                     });
   transport.set_peer(FakeDevice::kId, device.port());
 
@@ -564,10 +579,10 @@ TEST(RtLossy, RetransmissionsCoverLoss) {
   std::atomic<int> absences{0};
   AsyncControlPointBase::Callbacks callbacks;
   callbacks.on_cycle = [&](const AsyncControlPointBase::CycleInfo& info) {
+    if (!info.success) ++absences;
     if (!info.success || info.attempts != 2) ++other_attempts;
     ++cycles;
   };
-  callbacks.on_absent = [&](net::NodeId, double) { ++absences; };
   AsyncDcppControlPoint cp(transport, FakeDevice::kId, fast_dcpp_cp(),
                            callbacks);
   loop.post([&cp] { cp.start(); });
@@ -583,6 +598,60 @@ TEST(RtLossy, RetransmissionsCoverLoss) {
   // when the loop stopped.
   EXPECT_GE(cp.probes_sent(), 2 * cp.cycles_succeeded());
   EXPECT_LE(cp.probes_sent(), 2 * cp.cycles_succeeded() + 2);
+}
+
+TEST(RtSapp, UseEveryReplyFeedsDuplicatesIntoAdaptation) {
+  // A device that answers each probe twice, the second reply counting
+  // one more probe (a duplicated probe datagram). The duplicate is a
+  // rejected reply; with use_every_reply its (pc, t) pair, milliseconds
+  // after the first, reads as overload and δ grows by alpha_inc — the
+  // DES SappControlPoint rule. Without the flag δ stays put.
+  for (const bool use_every_reply : {true, false}) {
+    SCOPED_TRACE(use_every_reply ? "use_every_reply" : "cycle replies only");
+    EventLoop loop;
+    AsyncUdpTransport transport(loop);
+    constexpr std::uint64_t kDelta = 100'000;  // the paper's Δ
+    std::uint64_t pc = 0;                      // device thread only
+    FakeDevice device(transport.local_port(),
+                      [&pc](const net::Message&, net::Message& reply,
+                            const FakeDevice::Send& send) {
+                        reply.pc = pc += kDelta;
+                        send(reply);
+                        std::this_thread::sleep_for(10ms);
+                        reply.pc = pc += kDelta;
+                        send(reply);
+                      });
+    transport.set_peer(FakeDevice::kId, device.port());
+    core::SappCpConfig config = fast_sapp_cp();
+    config.initial_delay = 1.0;  // no second cycle within the test
+    config.use_every_reply = use_every_reply;
+    AsyncSappControlPoint cp(transport, FakeDevice::kId, config);
+    loop.post([&cp] { cp.start(); });
+    loop.start();
+    EXPECT_TRUE(eventually([&] { return transport.delivered_count() >= 2; }));
+    loop.stop();
+
+    EXPECT_EQ(cp.cycles_succeeded(), 1u);
+    EXPECT_EQ(cp.probes_sent(), 1u);
+    EXPECT_EQ(cp.delta(), use_every_reply
+                              ? config.alpha_inc * config.initial_delay
+                              : config.initial_delay);
+  }
+}
+
+TEST(AsyncRuntime, ContinueAfterAbsenceIsRejected) {
+  // The reactor stops monitoring on absence by design, so a config that
+  // asks to keep probing is refused instead of silently ignored.
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  core::SappCpConfig sapp = fast_sapp_cp();
+  sapp.continue_after_absence = true;
+  EXPECT_THROW(AsyncSappControlPoint(transport, 1, sapp),
+               std::invalid_argument);
+  core::DcppCpConfig dcpp = fast_dcpp_cp();
+  dcpp.continue_after_absence = true;
+  EXPECT_THROW(AsyncDcppControlPoint(transport, 1, dcpp),
+               std::invalid_argument);
 }
 
 TEST(AsyncPresence, WatchUnwatchLifecycle) {
