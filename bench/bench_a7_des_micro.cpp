@@ -5,10 +5,14 @@
 // protocol behaviour.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "benchmark_json.hpp"
 #include "des/scheduler.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
+#include "scenario/churn.hpp"
+#include "scenario/experiment.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
 
@@ -106,6 +110,42 @@ void BM_NetworkSendDeliver(benchmark::State& state) {
                           10000);
 }
 BENCHMARK(BM_NetworkSendDeliver);
+
+// World construction as a DES-layer cost: build and tear down one of the
+// paper's small worlds (one device; Fig 2 sapp3, Fig 3 sapp20, Fig 5
+// dcpp20 under churn) without running it. Replication-heavy sweeps build
+// tens of thousands of these, so per-world set-up is paid per data point.
+enum class World { kSapp3, kSapp20, kDcpp20Churn };
+
+void BM_ExperimentBuild(benchmark::State& state, World world) {
+  scenario::ExperimentConfig config;
+  config.metrics.record_delay_series = false;
+  if (world == World::kDcpp20Churn) {
+    config.protocol = scenario::Protocol::kDcpp;
+    config.initial_cps = 20;
+    config.dcpp_device.delta_min = 0.1;
+    config.dcpp_device.d_min = 0.5;
+    config.join_jitter_max = 0.0;  // Fig 5: synchronous joins
+  } else {
+    config.protocol = scenario::Protocol::kSapp;
+    config.initial_cps = world == World::kSapp3 ? 3 : 20;
+  }
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    config.seed = seed++;
+    auto exp = std::make_unique<scenario::Experiment>(config);
+    if (world == World::kDcpp20Churn) {
+      exp->install_churn(
+          std::make_unique<scenario::DynamicUniformChurn>(1, 60, 0.2));
+    }
+    exp->schedule_device_departure(50.0);
+    benchmark::DoNotOptimize(exp.get());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_ExperimentBuild, sapp3, World::kSapp3);
+BENCHMARK_CAPTURE(BM_ExperimentBuild, sapp20, World::kSapp20);
+BENCHMARK_CAPTURE(BM_ExperimentBuild, dcpp20, World::kDcpp20Churn);
 
 }  // namespace
 

@@ -139,7 +139,9 @@ class EntityArena {
   }
 
   bool valid(DeviceId id) const noexcept {
-    if (!id.is_valid_handle() || id.index() >= devices_.capacity()) {
+    // Only handed-out slots hold a DeviceState; an id from another arena
+    // may point past them.
+    if (!id.is_valid_handle() || id.index() >= devices_.handed_out()) {
       return false;
     }
     const DeviceState& st = devices_[id.index()];
@@ -176,7 +178,9 @@ class EntityArena {
   }
 
   bool valid(CpId id) const noexcept {
-    if (!id.is_valid_handle() || id.index() >= cps_.capacity()) return false;
+    if (!id.is_valid_handle() || id.index() >= cps_.handed_out()) {
+      return false;
+    }
     const CpState& st = cps_[id.index()];
     return st.live && st.gen == id.generation();
   }

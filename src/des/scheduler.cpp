@@ -24,7 +24,9 @@ Scheduler::Scheduler(const SchedulerConfig& config) : config_(config) {
   if (config_.backend == SchedulerBackend::kWheel) {
     const std::size_t slots = std::size_t{1} << config_.wheel_bits;
     wheel_mask_ = slots - 1;
-    slot_head_.assign(slots, kNil);
+    // Heads stay uninitialised (see wheel_bits): only the bitmap, 1/32
+    // of their size, is zeroed.
+    slot_head_ = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
     slot_bits_.assign(slots / 64, 0);
     if (config_.coarse_bits != 0) {
       coarse_shift_ = config_.coarse_tick_bits < 0
@@ -39,7 +41,7 @@ Scheduler::Scheduler(const SchedulerConfig& config) : config_(config) {
       }
       const std::size_t cslots = std::size_t{1} << config_.coarse_bits;
       coarse_mask_ = cslots - 1;
-      coarse_head_.assign(cslots, kNil);
+      coarse_head_ = std::make_unique_for_overwrite<std::uint32_t[]>(cslots);
       coarse_occ_.assign(cslots / 64, 0);
     }
   }
@@ -339,7 +341,9 @@ void Scheduler::sift_down(Heap& heap, std::size_t pos) {
 void Scheduler::wheel_insert(std::uint32_t index) {
   Event& ev = pool_[index];
   const std::size_t slot = slot_of(ev.tick);
-  const std::uint32_t head = slot_head_[slot];
+  std::uint64_t& word = slot_bits_[slot >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+  const std::uint32_t head = (word & bit) != 0 ? slot_head_[slot] : kNil;
   PROBEMON_CONTRACT(head == kNil || pool_[head].tick == ev.tick,
                     "wheel slot " << slot << " mixes ticks " << ev.tick
                                   << " and " << pool_[head].tick);
@@ -349,7 +353,7 @@ void Scheduler::wheel_insert(std::uint32_t index) {
   ev.next = head;
   if (head != kNil) pool_[head].prev = index;
   slot_head_[slot] = index;
-  slot_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  word |= bit;
   ++wheel_count_;
 }
 
@@ -362,7 +366,7 @@ void Scheduler::wheel_remove(std::uint32_t index) {
     slot_head_[slot] = ev.next;
   }
   if (ev.next != kNil) pool_[ev.next].prev = ev.prev;
-  if (slot_head_[slot] == kNil) {
+  if (ev.prev == kNil && ev.next == kNil) {  // it was the slot's only event
     slot_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   }
   --wheel_count_;
@@ -370,7 +374,6 @@ void Scheduler::wheel_remove(std::uint32_t index) {
 
 void Scheduler::drain_slot_into_bucket(std::size_t slot) {
   std::uint32_t i = slot_head_[slot];
-  slot_head_[slot] = kNil;
   slot_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   for (; i != kNil; i = pool_[i].next) {
     --wheel_count_;
@@ -449,7 +452,9 @@ void Scheduler::coarse_insert(std::uint32_t index) {
   Event& ev = pool_[index];
   const std::int64_t ctick = coarse_tick_of(ev.tick);
   const std::size_t slot = coarse_slot_of(ctick);
-  const std::uint32_t head = coarse_head_[slot];
+  std::uint64_t& word = coarse_occ_[slot >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+  const std::uint32_t head = (word & bit) != 0 ? coarse_head_[slot] : kNil;
   // Residents satisfy coarse_tick_of(cur_tick_) < ctick <
   // coarse_tick_of(cur_tick_) + slot count, so — exactly like the fine
   // wheel — one slot never mixes two coarse ticks.
@@ -464,7 +469,7 @@ void Scheduler::coarse_insert(std::uint32_t index) {
   ev.next = head;
   if (head != kNil) pool_[head].prev = index;
   coarse_head_[slot] = index;
-  coarse_occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  word |= bit;
   ++coarse_count_;
 }
 
@@ -477,7 +482,7 @@ void Scheduler::coarse_remove(std::uint32_t index) {
     coarse_head_[slot] = ev.next;
   }
   if (ev.next != kNil) pool_[ev.next].prev = ev.prev;
-  if (coarse_head_[slot] == kNil) {
+  if (ev.prev == kNil && ev.next == kNil) {  // it was the slot's only event
     coarse_occ_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   }
   --coarse_count_;
@@ -485,7 +490,6 @@ void Scheduler::coarse_remove(std::uint32_t index) {
 
 void Scheduler::cascade_coarse_slot(std::size_t slot) {
   std::uint32_t i = coarse_head_[slot];
-  coarse_head_[slot] = kNil;
   coarse_occ_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   while (i != kNil) {
     const std::uint32_t next = pool_[i].next;  // wheel_insert rewrites links

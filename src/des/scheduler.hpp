@@ -44,6 +44,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -78,8 +79,11 @@ struct SchedulerConfig {
   /// Wheel size = 2^wheel_bits slots. Default 32768 slots * 2^-8 s
   /// = 128 s span — every bounded protocol delay, plus the coarse
   /// scenario scripting (departures, outages) common in experiments,
-  /// lands in an O(1) slot. Cost: 132 KiB per scheduler, touched
-  /// sparsely (only occupied slots are ever read).
+  /// lands in an O(1) slot. Cost: 128 KiB of slot heads per scheduler,
+  /// reserved but never initialised — a head is written when its slot
+  /// gains an event and read only while the slot's occupancy bit is set
+  /// — plus a 4 KiB zeroed occupancy bitmap. A world that occupies a
+  /// handful of slots touches a handful of pages.
   int wheel_bits = 15;
   /// Upper (coarse) wheel level: one coarse slot covers
   /// 2^coarse_tick_bits fine ticks. -1 resolves to
@@ -235,7 +239,9 @@ class Scheduler {
     if (!id.valid()) return false;
     index = static_cast<std::uint32_t>(id.raw_ & 0xffffffffu) - 1;
     gen = static_cast<std::uint32_t>(id.raw_ >> 32);
-    return index < pool_.capacity();
+    // Only handed-out slots hold an Event; a handle minted by another
+    // scheduler may point past them.
+    return index < pool_.handed_out();
   }
 
   // --- tick arithmetic ------------------------------------------------------
@@ -258,8 +264,9 @@ class Scheduler {
   std::int64_t coarse_tick_of(std::int64_t tick) const noexcept {
     return tick >> coarse_shift_;
   }
+  /// Coarse wheel size in slots (coarse level enabled only).
   std::int64_t coarse_slot_count() const noexcept {
-    return static_cast<std::int64_t>(coarse_head_.size());
+    return static_cast<std::int64_t>(coarse_mask_) + 1;
   }
   std::size_t coarse_slot_of(std::int64_t ctick) const noexcept {
     return static_cast<std::size_t>(ctick) & coarse_mask_;
@@ -323,11 +330,14 @@ class Scheduler {
   Heap bucket_late_;
   Heap overflow_;          ///< events beyond the wheel window
   Heap heap_;              ///< kHeap backend: the only structure in use
-  std::vector<std::uint32_t> slot_head_;  ///< wheel slot -> list head
+  /// Wheel slot -> list head. Uninitialised: a head is meaningful only
+  /// while the slot's bit in slot_bits_ is set.
+  std::unique_ptr<std::uint32_t[]> slot_head_;
   std::vector<std::uint64_t> slot_bits_;  ///< occupancy bitmap over slots
   std::size_t wheel_count_ = 0;
-  std::vector<std::uint32_t> coarse_head_;  ///< coarse slot -> list head
-  std::vector<std::uint64_t> coarse_occ_;   ///< occupancy bitmap
+  /// Coarse slot -> list head; valid only where coarse_occ_ is set.
+  std::unique_ptr<std::uint32_t[]> coarse_head_;
+  std::vector<std::uint64_t> coarse_occ_;  ///< occupancy bitmap
   std::size_t coarse_count_ = 0;
   int coarse_shift_ = 0;  ///< log2 fine ticks per coarse slot; 0 = disabled
   std::size_t coarse_mask_ = 0;

@@ -10,16 +10,25 @@
 //     allocating entirely,
 //   * deterministic reuse order (LIFO), so runs are reproducible.
 //
-// T is default-constructed once when its slab is created and then
-// *reused* across acquire/release cycles; callers reset whatever fields
-// matter on acquire. (That is the point: the expensive member — an
+// A slab is raw storage: nothing is constructed when it is allocated.
+// acquire() hands out released slots LIFO first and otherwise the lowest
+// never-used index, value-initialising T there the first time that index
+// is handed out. From then on the object is *reused* across
+// acquire/release cycles; callers reset whatever fields matter on
+// acquire. (That is the point: the expensive member — an
 // InlineFunction's captured state — is overwritten, not reallocated.)
+// A pool that only ever holds a handful of objects therefore pays for a
+// handful of constructions, not for a slab of them. Only indices below
+// handed_out() hold an object; the destructor destroys exactly those.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
+
+#include "check/contract.hpp"
 
 namespace probemon::util {
 
@@ -29,11 +38,26 @@ class SlabPool {
   static constexpr std::uint32_t kSlabSize = 1u << SlabBits;
   static constexpr std::uint32_t kSlabMask = kSlabSize - 1;
 
-  /// Take a slot; grows by one slab when the free list is empty.
+  SlabPool() = default;
+  SlabPool(const SlabPool&) = delete;
+  SlabPool& operator=(const SlabPool&) = delete;
+  ~SlabPool() {
+    for (std::uint32_t i = 0; i < fresh_; ++i) (*this)[i].~T();
+  }
+
+  /// Take a slot: the most recently released one, else the lowest index
+  /// never handed out (constructing its T; grows by one slab when every
+  /// allocated slot has been handed out).
   std::uint32_t acquire() {
-    if (free_.empty()) grow();
-    const std::uint32_t index = free_.back();
-    free_.pop_back();
+    if (!free_.empty()) {
+      const std::uint32_t index = free_.back();
+      free_.pop_back();
+      return index;
+    }
+    if (fresh_ == capacity()) grow();
+    const std::uint32_t index = fresh_;
+    ::new (static_cast<void*>(slot(index))) T();
+    ++fresh_;  // only once T exists, so the destructor never sees a hole
     return index;
   }
 
@@ -42,31 +66,41 @@ class SlabPool {
   void release(std::uint32_t index) { free_.push_back(index); }
 
   T& operator[](std::uint32_t index) noexcept {
-    return slabs_[index >> SlabBits][index & kSlabMask];
+    PROBEMON_CONTRACT(index < fresh_, "slab slot " << index
+                                          << " was never handed out");
+    return *std::launder(reinterpret_cast<T*>(slot(index)));
   }
   const T& operator[](std::uint32_t index) const noexcept {
-    return slabs_[index >> SlabBits][index & kSlabMask];
+    PROBEMON_CONTRACT(index < fresh_, "slab slot " << index
+                                          << " was never handed out");
+    return *std::launder(reinterpret_cast<const T*>(slot(index)));
   }
 
   /// Total slots ever allocated (monotone; a capacity-planning signal).
   std::size_t capacity() const noexcept { return slabs_.size() * kSlabSize; }
-  std::size_t free_count() const noexcept { return free_.size(); }
-  std::size_t in_use() const noexcept { return capacity() - free_.size(); }
+  /// Slots ever handed out, i.e. holding a constructed T (monotone).
+  /// Indices at or past it hold no object: bounds-check handles here.
+  std::size_t handed_out() const noexcept { return fresh_; }
+  std::size_t free_count() const noexcept { return capacity() - in_use(); }
+  std::size_t in_use() const noexcept { return fresh_ - free_.size(); }
 
  private:
-  void grow() {
-    const auto base = static_cast<std::uint32_t>(capacity());
-    slabs_.push_back(std::make_unique<T[]>(kSlabSize));
-    free_.reserve(free_.size() + kSlabSize);
-    // Reversed so the lowest index is handed out first (cosmetic, but it
-    // keeps slot numbering intuitive in traces and tests).
-    for (std::uint32_t i = kSlabSize; i-- > 0;) {
-      free_.push_back(base + i);
-    }
+  struct alignas(T) Storage {
+    std::byte bytes[sizeof(T)];
+  };
+
+  Storage* slot(std::uint32_t index) const noexcept {
+    return &slabs_[index >> SlabBits][index & kSlabMask];
   }
 
-  std::vector<std::unique_ptr<T[]>> slabs_;
-  std::vector<std::uint32_t> free_;
+  void grow() {
+    // Default-initialised, so the slab's pages are not even written.
+    slabs_.push_back(std::make_unique_for_overwrite<Storage[]>(kSlabSize));
+  }
+
+  std::vector<std::unique_ptr<Storage[]>> slabs_;
+  std::vector<std::uint32_t> free_;  ///< released slots, LIFO
+  std::uint32_t fresh_ = 0;          ///< next never-handed-out index
 };
 
 }  // namespace probemon::util

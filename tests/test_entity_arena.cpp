@@ -164,6 +164,33 @@ TEST(EntityArena, SteadyChurnDoesNotGrowSlabs) {
   EXPECT_EQ(arena.device_high_water(), 300u);
 }
 
+TEST(EntityArena, ForeignIdBeyondHandedOutSlotsIsInvalid) {
+  // Ids from another arena whose index this arena never handed out
+  // (though it lies inside the allocated slab) must not validate.
+  EntityArena other;
+  DeviceId foreign_device;
+  CpId foreign_cp;
+  for (int i = 0; i < 5; ++i) {
+    foreign_device = other.add_device();
+    foreign_cp = other.add_cp();
+  }
+  EntityArena arena;
+  const DeviceId own_device = arena.add_device();
+  const CpId own_cp = arena.add_cp();
+  ASSERT_GT(arena.device_slots(), foreign_device.index());
+  ASSERT_GT(arena.cp_slots(), foreign_cp.index());
+  EXPECT_TRUE(other.valid(foreign_device));
+  EXPECT_TRUE(other.valid(foreign_cp));
+  EXPECT_FALSE(arena.valid(foreign_device));
+  EXPECT_FALSE(arena.valid(foreign_cp));
+  EXPECT_TRUE(arena.valid(own_device));
+  EXPECT_TRUE(arena.valid(own_cp));
+
+  EntityArena empty;
+  EXPECT_FALSE(empty.valid(foreign_device));
+  EXPECT_FALSE(empty.valid(foreign_cp));
+}
+
 double gauge_value(const std::vector<telemetry::Sample>& samples,
                    const std::string& name) {
   for (const auto& s : samples) {

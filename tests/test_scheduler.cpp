@@ -539,6 +539,126 @@ TEST(Scheduler, CoarseConfigValidationThrows) {
   EXPECT_THROW(Scheduler{bad}, std::invalid_argument);
 }
 
+// --- slot heads behind the occupancy bitmaps --------------------------------
+//
+// A wheel slot's head is meaningful only while its occupancy bit is set.
+// The edge cases: a slot emptied by cancelling its only event, by
+// cancelling its head and its tail, and then refilled.
+
+std::vector<TraceEntry> slot_edge_trace(const SchedulerConfig& config,
+                                        bool coarse_level) {
+  // Fine level: 1 s is tick 256, and three 0.5 ms steps stay inside it.
+  // Coarse level: 200 s lies past the 128 s fine span, in the 32 s coarse
+  // slot [192, 224); three 1 s steps stay inside it. At both levels 40
+  // steps land in a later slot.
+  const Time base = coarse_level ? 200.0 : 1.0;
+  const Time step = coarse_level ? 1.0 : 0.0005;
+  Scheduler sched(config);
+  std::vector<TraceEntry> trace;
+  sched.set_execution_probe(
+      [&trace](Time t, std::uint64_t seq) { trace.push_back({t, seq}); });
+  const bool wheel = config.backend == SchedulerBackend::kWheel;
+  auto resident = [&] {
+    return coarse_level ? sched.coarse_resident() : sched.fine_resident();
+  };
+  auto noop = [] {};
+  // A later slot stays occupied throughout, so every next_time() below
+  // scans the bitmap, and an emptied slot whose bit were left set would
+  // be found first.
+  const Time later = base + 40 * step;
+  sched.schedule_at(later, noop);
+
+  // The only event of a slot.
+  const EventId only = sched.schedule_at(base, noop);
+  if (wheel) {
+    EXPECT_EQ(resident(), 2u);
+  }
+  EXPECT_TRUE(sched.cancel(only));
+  if (wheel) {
+    EXPECT_EQ(resident(), 1u);
+  }
+  EXPECT_EQ(sched.next_time(), later);
+
+  // Three events in the slot; the list is LIFO, so the newest is the
+  // head and the oldest the tail.
+  const EventId tail = sched.schedule_at(base + step, noop);
+  const EventId middle = sched.schedule_at(base + 2 * step, noop);
+  const EventId head = sched.schedule_at(base + 3 * step, noop);
+  EXPECT_TRUE(sched.cancel(head));
+  EXPECT_EQ(sched.next_time(), base + step);
+  EXPECT_TRUE(sched.cancel(tail));
+  if (wheel) {
+    EXPECT_EQ(resident(), 2u);
+  }
+  EXPECT_EQ(sched.next_time(), base + 2 * step);
+  EXPECT_TRUE(sched.cancel(middle));
+  if (wheel) {
+    EXPECT_EQ(resident(), 1u);
+  }
+  EXPECT_EQ(sched.next_time(), later);
+  for (EventId id : {only, tail, middle, head}) {
+    EXPECT_FALSE(sched.pending(id));
+    EXPECT_FALSE(sched.cancel(id));
+  }
+
+  // Re-insert into the emptied slot, out of time order.
+  sched.schedule_at(base + 3 * step, noop);
+  sched.schedule_at(base + step, noop);
+  sched.schedule_at(base + 2 * step, noop);
+  sched.schedule_at(base + 2 * step, noop);  // same-time tie
+  if (wheel) {
+    EXPECT_EQ(resident(), 5u);
+  }
+  EXPECT_EQ(sched.next_time(), base + step);
+  sched.run_all();
+  EXPECT_EQ(sched.pending_count(), 0u);
+  return trace;
+}
+
+TEST(Scheduler, FineSlotEmptiedByCancelThenRefilledMatchesHeap) {
+  SchedulerConfig heap_config;
+  heap_config.backend = SchedulerBackend::kHeap;
+  const auto wheel = slot_edge_trace(SchedulerConfig{}, false);
+  const auto heap = slot_edge_trace(heap_config, false);
+  ASSERT_EQ(wheel.size(), 5u);
+  EXPECT_TRUE(wheel == heap);
+}
+
+TEST(Scheduler, CoarseSlotEmptiedByCancelThenRefilledMatchesHeap) {
+  SchedulerConfig heap_config;
+  heap_config.backend = SchedulerBackend::kHeap;
+  const auto wheel = slot_edge_trace(SchedulerConfig{}, true);
+  const auto heap = slot_edge_trace(heap_config, true);
+  ASSERT_EQ(wheel.size(), 5u);
+  EXPECT_TRUE(wheel == heap);
+}
+
+TEST(Scheduler, ForeignHandleBeyondHandedOutSlotsIsRejected) {
+  // An EventId from another scheduler whose index this scheduler never
+  // handed out (though it lies inside the allocated slab) must be
+  // neither pending nor cancellable, and must not disturb own events.
+  Scheduler other;
+  EventId foreign;
+  for (int i = 0; i < 10; ++i) foreign = other.schedule_at(1.0 + i, [] {});
+  Scheduler sched;
+  int fired = 0;
+  const EventId own = sched.schedule_at(2.0, [&] { ++fired; });
+  ASSERT_LT(sched.pool_in_use(), 10u);
+  ASSERT_GE(sched.pool_slots(), 10u);
+  EXPECT_TRUE(other.pending(foreign));
+  EXPECT_FALSE(sched.pending(foreign));
+  EXPECT_FALSE(sched.cancel(foreign));
+  EXPECT_TRUE(sched.pending(own));
+  sched.run_all();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(other.cancel(foreign));
+
+  // A scheduler that has handed out nothing rejects it too.
+  Scheduler idle;
+  EXPECT_FALSE(idle.pending(foreign));
+  EXPECT_FALSE(idle.cancel(foreign));
+}
+
 TEST(Scheduler, SteadyStateProbePathDoesNotAllocate) {
   // The allocation-free claim, asserted: after warmup, a self-
   // rescheduling probe-like workload must neither grow the event-slot
