@@ -6,8 +6,11 @@
 // a metrics registry, a probe-cycle tracer, the protocol invariant
 // auditor, and (with --http-port) a live HTTP endpoint serving
 // /metrics, /metrics.json, /healthz, /watches and /trace while the
-// fleet is probed. Shows the "implementable on small computing
-// devices" half of the paper's claim with the operator's view attached.
+// fleet is probed. The devices report every DCPP grant to the same
+// auditor, so the run also checks the paper's §4 schedule (the grant
+// formula, nt monotonicity, slots >= delta_min apart) on the reactor.
+// Shows the "implementable on small computing devices" half of the
+// paper's claim with the operator's view attached.
 //
 //   realtime_runtime                       # 3 s demo, no HTTP
 //   realtime_runtime --http-port=8080 --linger=60
@@ -71,7 +74,10 @@ int main(int argc, char** argv) {
   telemetry::Registry registry;
   telemetry::instrument_lock_order(registry);  // 0 unless a checked build
   telemetry::ProbeCycleTracer tracer(2048);
-  check::InvariantAuditor auditor({}, &registry);
+  check::AuditConfig audit;
+  audit.audit_dcpp = true;
+  audit.dcpp = device_config;
+  check::InvariantAuditor auditor(audit, &registry);
 
   runtime::EventLoop loop;
   loop.instrument(registry);
@@ -81,7 +87,8 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<runtime::AsyncDcppDevice>> devices;
   for (std::uint64_t i = 0; i < n_devices; ++i) {
     devices.push_back(
-        std::make_unique<runtime::AsyncDcppDevice>(transport, device_config));
+        std::make_unique<runtime::AsyncDcppDevice>(transport, device_config,
+                                                   &auditor));
     devices.back()->instrument(registry);
   }
 

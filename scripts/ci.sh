@@ -45,7 +45,10 @@
 #   * a checked DES smoke (bench under the sanitized+checked build)
 #   * CI_TSAN=1 additionally runs a thread,undefined build + ctest
 # and writes bench_out/analysis_summary.json with machine-readable
-# results (invariant violations, tidy warning count, lint findings).
+# results (invariant violations, tidy warning count, lint findings, perf
+# gate status). A failed perf gate does not stop --full: the matrix
+# still runs, so a perf flap cannot hide a sanitizer result, and the
+# script then exits with the gate's status.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -154,6 +157,7 @@ fi
 # Its drop/error counters are informational (0 on a healthy box, but a
 # loaded CI host can shed a datagram without that being a regression).
 PERF_THRESHOLD="${BENCH_PERF_THRESHOLD:-40}"
+PERF_STATUS=0
 echo "==> perf gate: DES kernel + telemetry + fleet scale (one-sided, threshold ${PERF_THRESHOLD}%)"
 mkdir -p "$SCRATCH/perf"
 "$BUILD/bench/bench_a7_des_micro" --benchmark_min_time=0.2 \
@@ -181,7 +185,12 @@ python3 "$ROOT/tools/bench_diff.py" "$ROOT/bench/baseline" "$SCRATCH/perf" \
   --higher-is-better 'items_per_second$|register_per_s$|speedup_bytes$|s100000\.speedup_time$|events_per_s$|probes_per_s$|cycles_per_s$|cycle_success_rate$' \
   --lower-is-better 'bytes_per_entity$|bytes_per_window$|p99_reply_latency_s$' \
   --max-regress-pct 'p99_reply_latency_s$=900' \
-  --threshold "$PERF_THRESHOLD"
+  --threshold "$PERF_THRESHOLD" || PERF_STATUS=$?
+if [[ "$PERF_STATUS" -ne 0 ]]; then
+  echo "==> perf gate FAILED (exit $PERF_STATUS)" >&2
+  [[ "$FULL" -eq 1 ]] || exit "$PERF_STATUS"
+  echo "    running the --full matrix anyway; ci.sh exits $PERF_STATUS after it" >&2
+fi
 
 if [[ "$FULL" -eq 1 ]]; then
   echo "==> full analysis matrix"
@@ -502,9 +511,10 @@ EOF
   # --- machine-readable summary. The checked suite aborts on any
   # invariant violation, so reaching this line means the tally is 0.
   python3 - "$SUMMARY_DIR/analysis_summary.json" "$SCRATCH/lint.json" \
-    "$TIDY_COUNT" "$TSA_BUILD_STATUS" "$TSA_SELFTEST_STATUS" <<'EOF'
+    "$TIDY_COUNT" "$TSA_BUILD_STATUS" "$TSA_SELFTEST_STATUS" \
+    "$PERF_STATUS" <<'EOF'
 import json, sys
-out, lint_path, tidy, tsa_build, tsa_selftest = sys.argv[1:6]
+out, lint_path, tidy, tsa_build, tsa_selftest, perf_status = sys.argv[1:7]
 lint = json.load(open(lint_path))
 json.dump({
     "invariant_violations": 0,
@@ -518,9 +528,14 @@ json.dump({
     "tsa_selftest": tsa_selftest,
     "tsa_ran": tsa_build == "passed",
     "lock_order_smoke": "passed",
+    "perf_gate": "passed" if perf_status == "0" else "failed",
 }, open(out, "w"), indent=2)
 print(f"==> wrote {out}")
 EOF
 fi
 
+if [[ "$PERF_STATUS" -ne 0 ]]; then
+  echo "==> ci.sh FAILED: perf gate (exit $PERF_STATUS)" >&2
+  exit "$PERF_STATUS"
+fi
 echo "==> ci.sh OK"

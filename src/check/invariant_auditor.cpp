@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/dcpp_device.hpp"
+#include "core/device_core.hpp"
 
 namespace probemon::check {
 
@@ -218,7 +218,7 @@ void InvariantAuditor::on_slot_granted(net::NodeId device, double t,
   }
 
   const double wait = nt_after - t;
-  const double expected = core::DcppDevice::grant(nt_before, t, config_.dcpp);
+  const double expected = core::dcpp_wait(nt_before, t, config_.dcpp);
   if (std::abs(wait - expected) > eps) {
     std::ostringstream out;
     out << "device " << device << " granted wait " << wait << " at t=" << t

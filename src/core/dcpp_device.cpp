@@ -2,9 +2,15 @@
 
 #include <algorithm>
 
-#include "check/contract.hpp"
-
 namespace probemon::core {
+
+double dcpp_wait(double nt, double t, const DcppDeviceConfig& config) noexcept {
+  const double frontier = std::max(nt, t);
+  const double backlog = frontier - t;  // >= 0 by construction
+  const double delta = std::max(config.delta_min, config.d_min - backlog);
+  const double next = frontier + delta;
+  return next - t;
+}
 
 DcppDevice::DcppDevice(des::Simulation& sim, net::Network& network,
                        EntityArena& arena, DcppDeviceConfig config,
@@ -14,25 +20,8 @@ DcppDevice::DcppDevice(des::Simulation& sim, net::Network& network,
   config_.validate();
 }
 
-double DcppDevice::grant(double nt, double t, const DcppDeviceConfig& config) {
-  const double frontier = std::max(nt, t);
-  const double backlog = frontier - t;  // >= 0 by construction
-  const double delta = std::max(config.delta_min, config.d_min - backlog);
-  const double next = frontier + delta;
-  return next - t;
-}
-
-void DcppDevice::fill_reply(const net::Message& /*probe*/, double t,
-                            net::Message& reply) {
-  const double wait = grant(nt_, t, config_);
-  const double granted = t + wait;
-  PROBEMON_INVARIANT(granted >= nt_ && wait + 1e-12 >= config_.d_min,
-                     "DCPP grant broke the schedule: nt " << nt_ << " -> "
-                         << granted << ", wait " << wait << " (d_min "
-                         << config_.d_min << ")");
-  if (observer()) observer()->on_slot_granted(id(), t, nt_, granted);
-  nt_ = granted;
-  reply.grant_delay = wait;
+void DcppDevice::fill_reply(double t, net::Message& reply) {
+  dcpp_grant(id(), nt_, t, config_, observer(), reply);
 }
 
 }  // namespace probemon::core

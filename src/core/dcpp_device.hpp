@@ -25,6 +25,7 @@
 #include <cstdint>
 
 #include "core/device_base.hpp"
+#include "core/device_core.hpp"
 
 namespace probemon::core {
 
@@ -38,14 +39,14 @@ class DcppDevice final : public DeviceBase {
   /// Latest granted slot instant (the schedule frontier).
   double next_slot() const noexcept { return nt_; }
 
-  /// Pure scheduling function, exposed for property tests:
-  /// returns the granted wait for a probe arriving at t given frontier nt,
-  /// without mutating state.
-  static double grant(double nt, double t, const DcppDeviceConfig& config);
+  /// The granted wait for a probe arriving at t given frontier nt,
+  /// without mutating state (core::dcpp_wait).
+  static double grant(double nt, double t, const DcppDeviceConfig& config) {
+    return dcpp_wait(nt, t, config);
+  }
 
  protected:
-  void fill_reply(const net::Message& probe, double t,
-                  net::Message& reply) override;
+  void fill_reply(double t, net::Message& reply) override;
 
  private:
   DcppDeviceConfig config_;

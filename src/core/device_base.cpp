@@ -1,6 +1,6 @@
 #include "core/device_base.hpp"
 
-#include "util/logging.hpp"
+#include "core/device_core.hpp"
 
 namespace probemon::core {
 
@@ -52,16 +52,9 @@ void DeviceBase::leave_gracefully() {
 
 void DeviceBase::come_back() { state().present = true; }
 
-void DeviceBase::record_prober(DeviceState& st, net::NodeId cp) {
-  if (cp == st.last_probers[0]) return;  // still the most recent
-  st.last_probers[1] = st.last_probers[0];
-  st.last_probers[0] = cp;
-}
-
 void DeviceBase::on_message(const net::Message& msg) {
   DeviceState& st = state();
-  if (!st.present) return;  // a silent device ignores everything
-  if (msg.kind != net::MessageKind::kProbe) return;
+  if (!accepts_probe(msg, st.present)) return;
 
   const double t = sim_.now();
   ++st.probes_received;
@@ -89,16 +82,8 @@ void DeviceBase::start_service() {
 
   // Protocol state updates at service time (the paper's "on receipt":
   // receipt and processing coincide for a serial device).
-  net::Message& reply = st.pending_reply;
-  reply = net::Message{};
-  reply.kind = net::MessageKind::kReply;
-  reply.from = id_;
-  reply.to = probe.from;
-  reply.cycle = probe.cycle;
-  reply.attempt = probe.attempt;
-  reply.last_probers = st.last_probers;
-  fill_reply(probe, sim_.now(), reply);
-  record_prober(st, probe.from);
+  begin_reply(probe, id_, st.last_probers, st.pending_reply);
+  fill_reply(sim_.now(), st.pending_reply);
 
   const double compute = compute_rng_.uniform(compute_.min, compute_.max);
   auto complete = [this, epoch = st.service_epoch] {

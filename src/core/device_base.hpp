@@ -7,9 +7,9 @@
 // the "maximal computation time of the device" in the paper's timeout
 // calibration.
 //
-// The device also tracks the last two *distinct* CPs that probed it and
-// piggybacks their ids on every reply (paper section 2) — this is the
-// overlay the dissemination extension uses.
+// The reply rules themselves (probe gate, reply header, the piggybacked
+// last two distinct probers of paper section 2, the SAPP and DCPP steps)
+// live in core/device_core.hpp, shared with the reactor's devices.
 //
 // All mutable protocol state (presence, probe counters, the service
 // queue, the pending reply) lives in a `core::EntityArena` slab addressed
@@ -74,11 +74,10 @@ class DeviceBase : public net::INetworkClient {
   void on_message(const net::Message& msg) final;
 
  protected:
-  /// Fill the protocol-specific reply payload for a probe that arrived at
-  /// time `t`. The base class has already prepared kind/from/to/cycle/
-  /// attempt/last_probers.
-  virtual void fill_reply(const net::Message& probe, double t,
-                          net::Message& reply) = 0;
+  /// Fill the protocol-specific reply payload for a probe serviced at
+  /// time `t`. The base class has already prepared the reply header
+  /// (core::begin_reply).
+  virtual void fill_reply(double t, net::Message& reply) = 0;
 
   /// Hook for subclasses needing per-probe state (e.g. load measurement).
   virtual void on_probe_accepted(const net::Message& /*probe*/,
@@ -92,7 +91,6 @@ class DeviceBase : public net::INetworkClient {
  private:
   DeviceState& state() noexcept { return arena_.device(did_); }
   const DeviceState& state() const noexcept { return arena_.device(did_); }
-  void record_prober(DeviceState& st, net::NodeId cp);
   void start_service();
 
   des::Simulation& sim_;

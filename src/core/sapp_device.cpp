@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/logging.hpp"
+#include "core/device_core.hpp"
 
 namespace probemon::core {
 
@@ -26,10 +26,8 @@ void SappDevice::set_delta(std::uint64_t delta) {
   notify_delta_changed(delta_);
 }
 
-void SappDevice::fill_reply(const net::Message& /*probe*/, double /*t*/,
-                            net::Message& reply) {
-  pc_ += delta_;
-  reply.pc = pc_;
+void SappDevice::fill_reply(double /*t*/, net::Message& reply) {
+  pc_ = sapp_step(pc_, delta_, reply);
 }
 
 void SappDevice::on_probe_accepted(const net::Message& /*probe*/, double t) {

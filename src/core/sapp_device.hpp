@@ -34,8 +34,7 @@ class SappDevice final : public DeviceBase {
   double measured_load() const;
 
  protected:
-  void fill_reply(const net::Message& probe, double t,
-                  net::Message& reply) override;
+  void fill_reply(double t, net::Message& reply) override;
   void on_probe_accepted(const net::Message& probe, double t) override;
 
  private:

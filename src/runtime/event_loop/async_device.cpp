@@ -1,10 +1,27 @@
 #include "runtime/event_loop/async_device.hpp"
 
+#include <stdexcept>
 #include <string>
 
-#include "core/dcpp_device.hpp"
-
 namespace probemon::runtime {
+
+namespace {
+
+/// SAPP's adaptive Δ is driven by a trailing window of probe instants
+/// and a periodic re-evaluation, both of which the reactor device omits,
+/// so a config asking for it is refused rather than ignored.
+const core::SappDeviceConfig& reactor_config(
+    const core::SappDeviceConfig& config) {
+  config.validate();
+  if (config.adaptive_delta) {
+    throw std::invalid_argument(
+        "AsyncSappDevice: adaptive_delta is not supported (the reactor "
+        "device keeps no load window; Delta stays fixed)");
+  }
+  return config;
+}
+
+}  // namespace
 
 AsyncDeviceBase::AsyncDeviceBase(AsyncUdpTransport& transport)
     : transport_(transport) {
@@ -20,16 +37,11 @@ void AsyncDeviceBase::shutdown() {
 }
 
 void AsyncDeviceBase::handle(const net::Message& msg) {
-  if (msg.kind != net::MessageKind::kProbe) return;
-  if (!present_.load(std::memory_order_relaxed)) return;
+  if (!core::accepts_probe(msg, present())) return;
   probes_received_.fetch_add(1, std::memory_order_relaxed);
   net::Message reply;
-  reply.kind = net::MessageKind::kReply;
-  reply.from = id_;
-  reply.to = msg.from;
-  reply.cycle = msg.cycle;
-  reply.attempt = msg.attempt;
-  fill_reply(msg, transport_.loop().now(), reply);
+  core::begin_reply(msg, id_, probers_, reply);
+  fill_reply(transport_.loop().now(), reply);
   transport_.send(reply);
 }
 
@@ -47,29 +59,25 @@ void AsyncDeviceBase::instrument(telemetry::Registry& registry,
 
 AsyncSappDevice::AsyncSappDevice(AsyncUdpTransport& transport,
                                  core::SappDeviceConfig config)
-    : AsyncDeviceBase(transport), config_(config), delta_(config.delta()) {
-  config_.validate();
-}
+    : AsyncDeviceBase(transport),
+      config_(reactor_config(config)),
+      delta_(config.delta()) {}
 
-void AsyncSappDevice::fill_reply(const net::Message& /*probe*/, double /*t*/,
-                                 net::Message& reply) {
-  const std::uint64_t pc =
-      pc_.load(std::memory_order_relaxed) + delta_;
-  pc_.store(pc, std::memory_order_relaxed);
-  reply.pc = pc;
+void AsyncSappDevice::fill_reply(double /*t*/, net::Message& reply) {
+  pc_.store(core::sapp_step(pc_.load(std::memory_order_relaxed), delta_,
+                            reply),
+            std::memory_order_relaxed);
 }
 
 AsyncDcppDevice::AsyncDcppDevice(AsyncUdpTransport& transport,
-                                 core::DcppDeviceConfig config)
-    : AsyncDeviceBase(transport), config_(config) {
+                                 core::DcppDeviceConfig config,
+                                 core::ProtocolObserver* observer)
+    : AsyncDeviceBase(transport), config_(config), observer_(observer) {
   config_.validate();
 }
 
-void AsyncDcppDevice::fill_reply(const net::Message& /*probe*/, double t,
-                                 net::Message& reply) {
-  const double wait = core::DcppDevice::grant(nt_, t, config_);
-  nt_ = t + wait;
-  reply.grant_delay = wait;
+void AsyncDcppDevice::fill_reply(double t, net::Message& reply) {
+  core::dcpp_grant(id(), nt_, t, config_, observer_, reply);
 }
 
 }  // namespace probemon::runtime

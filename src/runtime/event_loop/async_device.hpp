@@ -1,8 +1,9 @@
-// Async devices: the SAPP/DCPP reply logic on the event loop.
+// Async devices: the SAPP/DCPP reply rules on the event loop.
 //
-// Same protocol behaviour as the DES devices (core::SappDevice /
-// core::DcppDevice) — SAPP bumps its probe counter per probe, DCPP
-// grants Δ = max{δ_min, d_min−(nt−t)} — but loop-confined and
+// The rules are core/device_core.hpp, shared with the DES devices
+// (probe gate, reply header with the last two distinct probers
+// piggybacked, SAPP's pc += Δ, DCPP's grant with its invariant and
+// on_slot_granted). Here they run on receipt, loop-confined and
 // lock-free: the reactor's single thread owns all device state, so a
 // probe is handled with zero mutex traffic and zero allocation, which
 // is what lets one process answer for 10^5 endpoints. The only
@@ -10,17 +11,25 @@
 // tests and demos can kill a device from the main thread) and the
 // scrape counters.
 //
+// AsyncDcppDevice reports grants to an optional observer, so an
+// InvariantAuditor with audit_dcpp audits the reactor's schedule.
+// Receipts are not reported: the reactor's CPs report through
+// audit_cycle, never on_probe_sent, so the auditor's
+// counter_consistency would flag every probe. A SAPP device's Δ is
+// fixed here, so it has nothing to report and takes no observer.
+//
 // Deliberately omitted: a trailing-window experienced-load series (a
 // per-device std::deque of probe instants is exactly the kind of
 // per-endpoint cost this runtime exists to avoid; the transport's
 // aggregate counters and the loop histograms cover the load story at
-// scale).
+// scale), and with it SAPP's adaptive Δ, which that window drives.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
 #include "core/config.hpp"
+#include "core/device_core.hpp"
 #include "runtime/event_loop/async_udp.hpp"
 #include "telemetry/registry.hpp"
 
@@ -53,6 +62,10 @@ class AsyncDeviceBase {
     return probes_received_.load(std::memory_order_relaxed);
   }
 
+  /// Last two distinct probers, most recent first (loop thread, or
+  /// stopped loop).
+  const core::Probers& last_probers() const noexcept { return probers_; }
+
   /// Per-device metrics (device=<id> label):
   /// probemon_device_probes_received_total and the
   /// probemon_device_nominal_load gauge. Per-device series are a
@@ -61,9 +74,10 @@ class AsyncDeviceBase {
   void instrument(telemetry::Registry& registry, double nominal_load);
 
  protected:
-  /// Protocol-specific reply payload; runs on the loop thread.
-  virtual void fill_reply(const net::Message& probe, double t,
-                          net::Message& reply) = 0;
+  /// Protocol-specific reply payload for a probe received at `t`; runs
+  /// on the loop thread. The header is already filled
+  /// (core::begin_reply).
+  virtual void fill_reply(double t, net::Message& reply) = 0;
 
   /// Detach from the transport (idempotent; loop-confined). Subclass
   /// destructors call this so no handler can virtual-dispatch into a
@@ -76,11 +90,13 @@ class AsyncDeviceBase {
   AsyncUdpTransport& transport_;
   net::NodeId id_;
   bool detached_ = false;
+  core::Probers probers_{net::kInvalidNode, net::kInvalidNode};
   std::atomic<bool> present_{true};
   std::atomic<std::uint64_t> probes_received_{0};
 };
 
-/// SAPP device: pc += Delta per probe; reply carries pc.
+/// SAPP device: pc += Delta per probe; reply carries pc. Refuses
+/// adaptive_delta (see above).
 class AsyncSappDevice final : public AsyncDeviceBase {
  public:
   AsyncSappDevice(AsyncUdpTransport& transport, core::SappDeviceConfig config);
@@ -96,8 +112,7 @@ class AsyncSappDevice final : public AsyncDeviceBase {
   }
 
  protected:
-  void fill_reply(const net::Message& probe, double t,
-                  net::Message& reply) override;
+  void fill_reply(double t, net::Message& reply) override;
 
  private:
   core::SappDeviceConfig config_;
@@ -106,10 +121,13 @@ class AsyncSappDevice final : public AsyncDeviceBase {
   std::uint64_t delta_;
 };
 
-/// DCPP device: schedules probers via core::DcppDevice::grant.
+/// DCPP device: schedules probers via core::dcpp_grant.
 class AsyncDcppDevice final : public AsyncDeviceBase {
  public:
-  AsyncDcppDevice(AsyncUdpTransport& transport, core::DcppDeviceConfig config);
+  /// `observer` (may be null) must outlive the device; its hooks run on
+  /// the loop thread.
+  AsyncDcppDevice(AsyncUdpTransport& transport, core::DcppDeviceConfig config,
+                  core::ProtocolObserver* observer = nullptr);
   ~AsyncDcppDevice() override { shutdown(); }
 
   /// Next grantable probe instant (loop thread, or stopped loop).
@@ -121,11 +139,11 @@ class AsyncDcppDevice final : public AsyncDeviceBase {
   }
 
  protected:
-  void fill_reply(const net::Message& probe, double t,
-                  net::Message& reply) override;
+  void fill_reply(double t, net::Message& reply) override;
 
  private:
   core::DcppDeviceConfig config_;
+  core::ProtocolObserver* observer_;
   double nt_ = 0.0;  ///< loop-confined
 };
 

@@ -37,7 +37,6 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 }  // namespace
 
 struct AsyncUdpTransport::IoBatches {
-#ifdef __linux__
   // recvmmsg scratch: one buffer/iovec/source-addr/header per slot.
   std::vector<std::array<std::uint8_t, kRecvBufSize>> rbufs;
   std::vector<iovec> riov;
@@ -77,10 +76,6 @@ struct AsyncUdpTransport::IoBatches {
       smsgs[i].msg_hdr.msg_namelen = sizeof(saddr[i]);
     }
   }
-#else
-  std::array<std::uint8_t, kRecvBufSize> rbuf{};
-  explicit IoBatches(const Config&) {}
-#endif
 };
 
 AsyncUdpTransport::AsyncUdpTransport(EventLoop& loop)
@@ -94,7 +89,6 @@ AsyncUdpTransport::AsyncUdpTransport(EventLoop& loop, Config config)
   if (fd_ < 0) throw_errno("AsyncUdpTransport: socket");
   int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-#ifdef SO_REUSEPORT
   if (config_.reuse_port) {
     if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) < 0) {
       const int saved = errno;
@@ -103,7 +97,6 @@ AsyncUdpTransport::AsyncUdpTransport(EventLoop& loop, Config config)
       throw_errno("AsyncUdpTransport: SO_REUSEPORT");
     }
   }
-#endif
   if (config_.rcvbuf_bytes > 0) {
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &config_.rcvbuf_bytes,
                  sizeof(config_.rcvbuf_bytes));
@@ -179,29 +172,14 @@ void AsyncUdpTransport::send(net::Message msg) {
     unroutable_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-#ifdef __linux__
   const auto slot = static_cast<std::size_t>(pending_send_);
   udp_encode(msg, io_->sbufs[slot].data());
   io_->saddr[slot] = loopback_addr(port);
   io_->smsgs[slot].msg_hdr.msg_namelen = sizeof(io_->saddr[slot]);
   if (++pending_send_ >= config_.send_batch) flush();
-#else
-  std::uint8_t buf[kUdpWireSize];
-  udp_encode(msg, buf);
-  const sockaddr_in addr = loopback_addr(port);
-  const ssize_t n =
-      ::sendto(fd_, buf, sizeof(buf), 0,
-               reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  if (n == static_cast<ssize_t>(sizeof(buf))) {
-    sent_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    send_errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-#endif
 }
 
 void AsyncUdpTransport::flush() {
-#ifdef __linux__
   if (pending_send_ == 0) return;
   int done = 0;
   while (done < pending_send_) {
@@ -222,12 +200,10 @@ void AsyncUdpTransport::flush() {
                     std::memory_order_relaxed);
   }
   pending_send_ = 0;
-#endif
 }
 
 void AsyncUdpTransport::on_readable() {
   int consumed = 0;
-#ifdef __linux__
   while (consumed < config_.max_datagrams_per_wake) {
     // Source-addr lengths are overwritten by the kernel; re-arm them.
     for (auto& m : io_->rmsgs) m.msg_hdr.msg_namelen = sizeof(sockaddr_in);
@@ -251,26 +227,6 @@ void AsyncUdpTransport::on_readable() {
     consumed += n;
     if (n < config_.recv_batch) break;  // socket drained
   }
-#else
-  while (consumed < config_.max_datagrams_per_wake) {
-    sockaddr_in src{};
-    socklen_t src_len = sizeof(src);
-    const ssize_t n =
-        ::recvfrom(fd_, io_->rbuf.data(), io_->rbuf.size(), 0,
-                   reinterpret_cast<sockaddr*>(&src), &src_len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN && errno != EWOULDBLOCK) {
-        recv_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-      break;
-    }
-    if (recv_depth_hist_) recv_depth_hist_->observe(1.0);
-    handle_datagram(io_->rbuf.data(), static_cast<std::size_t>(n),
-                    ntohs(src.sin_port));
-    ++consumed;
-  }
-#endif
 }
 
 void AsyncUdpTransport::handle_datagram(const std::uint8_t* data,

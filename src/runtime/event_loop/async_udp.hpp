@@ -13,10 +13,6 @@
 //     transport registers itself as a loop flush hook), so datagrams
 //     never sit across a sleep.
 //
-// Non-Linux builds fall back to recvfrom()/sendto() per datagram over
-// the same non-blocking socket; semantics are identical, only the
-// syscall count differs.
-//
 // Routing: destinations that are locally attached loop through the
 // socket to our own port (real kernel UDP, not a shortcut). External
 // peers are learned from datagram source addresses — the first message

@@ -7,13 +7,9 @@
 #include <utility>
 
 #include <fcntl.h>
-#include <poll.h>
-#include <unistd.h>
-
-#ifdef __linux__
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#endif
+#include <unistd.h>
 
 #ifdef PROBEMON_CHECKED
 #include <cstdio>
@@ -38,29 +34,22 @@ void set_nonblocking(int fd) {
 }  // namespace
 
 EventLoop::EventLoop(Config config) : config_(config) {
-#ifdef __linux__
-  poll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (poll_fd_ < 0) throw_errno("EventLoop: epoll_create1");
-  wake_fds_[0] = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fds_[0] < 0) throw_errno("EventLoop: eventfd");
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) throw_errno("EventLoop: epoll_create1");
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) throw_errno("EventLoop: eventfd");
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = wake_fds_[0];
-  if (::epoll_ctl(poll_fd_, EPOLL_CTL_ADD, wake_fds_[0], &ev) < 0) {
+  ev.data.fd = wake_fd_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
     throw_errno("EventLoop: epoll_ctl(wake)");
   }
-#else
-  if (::pipe(wake_fds_) < 0) throw_errno("EventLoop: pipe");
-  set_nonblocking(wake_fds_[0]);
-  set_nonblocking(wake_fds_[1]);
-#endif
 }
 
 EventLoop::~EventLoop() {
   stop();
-  if (poll_fd_ >= 0) ::close(poll_fd_);
-  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
 void EventLoop::add_fd(int fd, FdHandler handler) {
@@ -72,15 +61,13 @@ void EventLoop::add_fd(int fd, FdHandler handler) {
 #endif
   set_nonblocking(fd);
   handlers_[fd] = std::move(handler);
-#ifdef __linux__
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = fd;
-  if (::epoll_ctl(poll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
     handlers_.erase(fd);
     throw_errno("EventLoop: epoll_ctl(add)");
   }
-#endif
 }
 
 void EventLoop::remove_fd(int fd) {
@@ -91,9 +78,7 @@ void EventLoop::remove_fd(int fd) {
   }
 #endif
   if (handlers_.erase(fd) == 0) return;
-#ifdef __linux__
-  ::epoll_ctl(poll_fd_, EPOLL_CTL_DEL, fd, nullptr);  // best effort
-#endif
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);  // best effort
 }
 
 std::uint64_t EventLoop::add_flush_hook(Task hook) {
@@ -131,13 +116,8 @@ void EventLoop::post(Task task) {
 }
 
 void EventLoop::wake() {
-#ifdef __linux__
   const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fds_[0], &one, sizeof(one));
-#else
-  const char byte = 'w';
-  [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
-#endif
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 void EventLoop::drain_tasks() {
@@ -153,18 +133,12 @@ void EventLoop::drain_tasks() {
 }
 
 void EventLoop::dispatch(int fd, std::uint32_t events) {
-  if (fd == wake_fds_[0]) {
+  if (fd == wake_fd_) {
     // Drain the wake signal; the work it announces (tasks, stop flag)
     // is picked up by the surrounding iteration.
-#ifdef __linux__
     std::uint64_t value = 0;
-    while (::read(wake_fds_[0], &value, sizeof(value)) > 0) {
+    while (::read(wake_fd_, &value, sizeof(value)) > 0) {
     }
-#else
-    char buf[64];
-    while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-    }
-#endif
     return;
   }
   auto it = handlers_.find(fd);
@@ -191,12 +165,11 @@ void EventLoop::run_iteration(bool& saw_stop) {
   int timeout = timers_.timeout_ms(timers_.now(), config_.max_wait_ms);
   if (timeout < 0) timeout = config_.max_wait_ms;
 
-#ifdef __linux__
   // Scratch batch reused across iterations — no per-wakeup allocation.
   static thread_local std::vector<epoll_event> events;
   events.resize(static_cast<std::size_t>(config_.max_fd_events));
   const int n =
-      ::epoll_wait(poll_fd_, events.data(), config_.max_fd_events, timeout);
+      ::epoll_wait(epoll_fd_, events.data(), config_.max_fd_events, timeout);
   wakeups_.fetch_add(1, std::memory_order_relaxed);
   if (n < 0) {
     if (errno == EINTR) return;
@@ -205,23 +178,6 @@ void EventLoop::run_iteration(bool& saw_stop) {
   for (int i = 0; i < n; ++i) {
     dispatch(events[i].data.fd, events[i].events);
   }
-#else
-  std::vector<pollfd> fds;
-  fds.reserve(handlers_.size() + 1);
-  fds.push_back({wake_fds_[0], POLLIN, 0});
-  for (const auto& [fd, handler] : handlers_) {
-    fds.push_back({fd, POLLIN, 0});
-  }
-  const int n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout);
-  wakeups_.fetch_add(1, std::memory_order_relaxed);
-  if (n < 0) {
-    if (errno == EINTR) return;
-    throw_errno("EventLoop: poll");
-  }
-  for (const auto& p : fds) {
-    if (p.revents != 0) dispatch(p.fd, static_cast<std::uint32_t>(p.revents));
-  }
-#endif
 }
 
 void EventLoop::run() {

@@ -26,8 +26,9 @@
 //     that are not explicitly atomic — must run on the loop thread or
 //     while the loop is not running. Cross-thread work enters via
 //     post().
-//   * Non-Linux builds fall back from epoll/eventfd to poll(2) and a
-//     self-pipe; semantics are identical.
+//
+// Linux only (epoll, eventfd; the transport uses recvmmsg/sendmmsg):
+// the top-level CMakeLists.txt refuses other systems.
 #pragma once
 
 #include <atomic>
@@ -47,14 +48,14 @@ namespace probemon::runtime {
 class EventLoop {
  public:
   struct Config {
-    /// epoll_wait / poll() event batch per wakeup.
+    /// epoll_wait event batch per wakeup.
     int max_fd_events = 256;
     /// Cap on the idle sleep (ms); the wake fd means this is a safety
     /// net, not a latency bound.
     int max_wait_ms = 1000;
   };
 
-  /// `events` is the epoll/poll readiness mask (EPOLLIN/POLLIN etc.).
+  /// `events` is the epoll readiness mask (EPOLLIN etc.).
   using FdHandler = std::function<void(std::uint32_t events)>;
   using Task = std::function<void()>;
 
@@ -142,8 +143,8 @@ class EventLoop {
   Config config_;
   des::WallClockTimerWheel timers_;
 
-  int poll_fd_ = -1;   ///< epoll instance (Linux); -1 on the poll() path
-  int wake_fds_[2] = {-1, -1};  ///< [0] read side (eventfd uses only [0])
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd behind post()/stop()
 
   /// Loop-confined (modified pre-start or on the loop thread).
   std::unordered_map<int, FdHandler> handlers_;

@@ -1,15 +1,11 @@
 // Tests for the real-time (event-loop) runtime: AsyncUdpTransport
 // routing and peer learning over real sockets, device/control-point
-// protocol behaviour (clean cycles, grant sharing, SAPP adaptation,
-// retransmission under loss, absence, hostile replies), the
+// protocol behaviour (clean cycles, grant sharing, audited DCPP grants,
+// the piggybacked prober overlay, SAPP adaptation, retransmission under
+// loss, absence, hostile replies), the
 // AsyncPresenceService facade, and a few-hundred-endpoint smoke run on
 // one loop thread.
 #include <gtest/gtest.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -22,6 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "check/invariant_auditor.hpp"
+#include "core/observer_fanout.hpp"
+#include "raw_udp_peer.hpp"
 #include "runtime/event_loop/async_control_point.hpp"
 #include "runtime/event_loop/async_device.hpp"
 #include "runtime/event_loop/async_presence.hpp"
@@ -73,48 +72,6 @@ core::SappCpConfig fast_sapp_cp() {
   config.initial_delay = 0.01;
   return config;
 }
-
-/// A UDP socket on 127.0.0.1 outside the loop — an external endpoint
-/// that speaks the wire format by hand.
-struct RawPeer {
-  int fd = -1;
-  std::uint16_t port = 0;
-
-  RawPeer() {
-    fd = socket(AF_INET, SOCK_DGRAM, 0);
-    sockaddr_in local{};
-    local.sin_family = AF_INET;
-    local.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    bind(fd, reinterpret_cast<sockaddr*>(&local), sizeof local);
-    socklen_t len = sizeof local;
-    getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len);
-    port = ntohs(local.sin_port);
-    timeval rcv_timeout{0, 50'000};
-    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv_timeout,
-               sizeof rcv_timeout);
-  }
-  ~RawPeer() { close(fd); }
-  RawPeer(const RawPeer&) = delete;
-  RawPeer& operator=(const RawPeer&) = delete;
-
-  void send_to(std::uint16_t dst_port, const net::Message& msg) const {
-    std::uint8_t wire[kUdpWireSize];
-    udp_encode(msg, wire);
-    sockaddr_in dst{};
-    dst.sin_family = AF_INET;
-    dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    dst.sin_port = htons(dst_port);
-    sendto(fd, wire, sizeof wire, 0, reinterpret_cast<sockaddr*>(&dst),
-           sizeof dst);
-  }
-
-  /// Next well-formed datagram, or false after the receive timeout.
-  bool receive(net::Message& out) const {
-    std::uint8_t wire[kUdpWireSize + 8];
-    const ssize_t n = recv(fd, wire, sizeof wire, 0);
-    return n > 0 && udp_decode(wire, static_cast<std::size_t>(n), out);
-  }
-};
 
 /// A hand-written device on a RawPeer: answers probes on its own
 /// thread, with `policy` deciding per probe what (and how often) to
@@ -491,6 +448,48 @@ TEST(RtDcpp, MultipleCpsShareDeviceFairly) {
             elapsed / device_config.delta_min + 1 + kCps);
 }
 
+TEST(RtDcpp, GrantsAuditCleanOverUdp) {
+  // The device reports every grant to an InvariantAuditor auditing the
+  // paper's §4 schedule (grant formula, nt monotone, slots >= delta_min
+  // apart) while four CPs contend for it: no violation, and exactly one
+  // grant per probe answered.
+  struct GrantCounter final : core::ProtocolObserver {
+    std::uint64_t grants = 0;  // loop thread
+    void on_slot_granted(net::NodeId, double, double, double) override {
+      ++grants;
+    }
+  } counter;
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  core::DcppDeviceConfig device_config;
+  device_config.delta_min = 0.01;
+  device_config.d_min = 0.02;  // 4 CPs want 200/s, the device caps 100/s
+  check::AuditConfig audit;
+  audit.audit_dcpp = true;
+  audit.dcpp = device_config;
+  check::InvariantAuditor auditor(audit);
+  core::FanoutObserver observers({&auditor, &counter});
+  AsyncDcppDevice device(transport, device_config, &observers);
+
+  std::vector<std::unique_ptr<AsyncDcppControlPoint>> cps;
+  for (int i = 0; i < 4; ++i) {
+    cps.push_back(std::make_unique<AsyncDcppControlPoint>(
+        transport, device.id(), fast_dcpp_cp()));
+    cps.back()->start(0.005 * i);
+  }
+  loop.start();
+  EXPECT_TRUE(eventually([&] {
+    return std::all_of(cps.begin(), cps.end(), [](const auto& cp) {
+      return cp->cycles_succeeded() >= 5;
+    });
+  }));
+  loop.stop();
+
+  EXPECT_EQ(auditor.total_violations(), 0u) << auditor.summary();
+  EXPECT_GE(counter.grants, 4u * 5u);
+  EXPECT_EQ(counter.grants, device.probes_received());
+}
+
 TEST(RtDcpp, DetectsSilentDevice) {
   EventLoop loop;
   AsyncUdpTransport transport(loop);
@@ -539,6 +538,42 @@ TEST(RtSapp, ProbeCounterAdvancesAndCpAdapts) {
   // the delay must stay within [delta_min, delta_max].
   EXPECT_GE(cp.current_delay(), cp_config.delta_min);
   EXPECT_LE(cp.current_delay(), cp_config.delta_max);
+}
+
+TEST(RtSapp, ReplyPiggybacksLastTwoProbers) {
+  // Paper §2: every reply carries the last two *distinct* CPs that
+  // probed the device before this probe, most recent first — the overlay
+  // seed. Probers A, B, A, A, C from outside the loop over real UDP.
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  AsyncSappDevice device(transport, core::SappDeviceConfig{});
+  loop.start();
+  RawPeer peer;
+  constexpr net::NodeId kA = 0x60000001, kB = 0x60000002, kC = 0x60000003;
+  constexpr net::NodeId kNone = net::kInvalidNode;
+  const struct {
+    net::NodeId from;
+    core::Probers piggyback;
+  } steps[] = {{kA, {kNone, kNone}},
+               {kB, {kA, kNone}},
+               {kA, {kB, kA}},
+               {kA, {kA, kB}},  // a repeat is not a new prober
+               {kC, {kA, kB}}};
+  std::uint64_t cycle = 0;
+  for (const auto& step : steps) {
+    net::Message probe;
+    probe.kind = net::MessageKind::kProbe;
+    probe.from = step.from;
+    probe.to = device.id();
+    probe.cycle = ++cycle;
+    net::Message reply;
+    ASSERT_TRUE(peer.ask(transport.local_port(), probe, reply));
+    EXPECT_EQ(reply.kind, net::MessageKind::kReply);
+    EXPECT_EQ(reply.to, step.from);
+    EXPECT_EQ(reply.last_probers, step.piggyback) << "cycle " << cycle;
+  }
+  loop.stop();
+  EXPECT_EQ(device.last_probers(), (core::Probers{kC, kA}));
 }
 
 TEST(RtSapp, CallbackReportsCycleSuccess) {
@@ -652,6 +687,19 @@ TEST(AsyncRuntime, ContinueAfterAbsenceIsRejected) {
   dcpp.continue_after_absence = true;
   EXPECT_THROW(AsyncDcppControlPoint(transport, 1, dcpp),
                std::invalid_argument);
+}
+
+TEST(AsyncRuntime, AdaptiveDeltaIsRejected) {
+  // Δ-doubling needs the device's trailing load window, which the
+  // reactor device does not keep, so the flag is refused instead of
+  // silently ignored.
+  EventLoop loop;
+  AsyncUdpTransport transport(loop);
+  core::SappDeviceConfig config;
+  config.adaptive_delta = true;
+  EXPECT_THROW(AsyncSappDevice(transport, config), std::invalid_argument);
+  config.adaptive_delta = false;
+  EXPECT_NO_THROW(AsyncSappDevice(transport, config));
 }
 
 TEST(AsyncPresence, WatchUnwatchLifecycle) {
